@@ -3,7 +3,10 @@
 //! side of the contract — every ordering `OrdSpec::native()` assigns to
 //! a control-word access must be listed in the allowlist for that
 //! (field, operation). The lint (`uat-lint`, rule B) pins the code's
-//! side by scanning `native.rs` against the same table.
+//! side by scanning `native.rs` against the same table. `native.rs` is
+//! the only THE implementation on real atomics: the heap-placed
+//! `NativeDeque` and the caller-placed `ShmDeque` both run it, so the
+//! model covers both placements.
 
 use uat_check::{MemOrd, OrdSpec};
 use uat_deque::layout::ORDERING_ALLOWLIST;

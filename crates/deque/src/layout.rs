@@ -12,13 +12,14 @@
 //!
 //! [`SimDeque`](crate::SimDeque) realises this layout in simulated
 //! registered RDMA memory (every thief access is `base + OFF_*`);
-//! [`NativeDeque`](crate::NativeDeque) realises the three control words
-//! as `#[repr(C)]` atomics at the same offsets (asserted at compile
-//! time; its entries live behind a pointer rather than inline, which is
-//! fine intra-process where nothing computes remote addresses); and the
-//! `uat-check` interleaving model derives its location bit-masks from
-//! these offsets via [`loc_bit`]. Change the layout here and every
-//! consumer moves together — or fails to compile.
+//! [`RawDeque`](crate::RawDeque) realises it in real memory, the three
+//! control words as `#[repr(C)]` atomics at the same offsets (asserted
+//! at compile time) and the entries inline, whether the block is a heap
+//! block a [`NativeDeque`](crate::NativeDeque) owns or a shared-region
+//! block behind a [`ShmDeque`](crate::ShmDeque); and the `uat-check`
+//! interleaving model derives its location bit-masks from these offsets
+//! via [`loc_bit`]. Change the layout here and every consumer moves
+//! together — or fails to compile.
 
 /// Byte offset of the lock word.
 pub const OFF_LOCK: u64 = 0;
@@ -43,7 +44,7 @@ pub const fn loc_bit(off: u64) -> u32 {
 /// `(field, operation, allowed orderings)`.
 ///
 /// This is the static face of the memory-model catalogue (DESIGN.md
-/// §11): the union, over every access site in `NativeDeque`, of the
+/// §11): the union, over every access site in `RawDeque`, of the
 /// orderings the `uat-check` release/acquire explorer proved sufficient
 /// (clean RA suite) and necessary (each seeded downgrade outside this
 /// table produces a counterexample trace). The `uat-lint` tool scans

@@ -136,6 +136,7 @@ resume_context:
 switch_stack_and_call:
     .cfi_startproc
     mov  %rdi, %rsp        /* SP = top of the fresh stack (16-aligned) */
+    .cfi_undefined rip     /* the fresh stack has no caller: unwinding ends here */
     mov  %rsi, %rax        /* f */
     mov  %rdx, %rdi        /* arg */
     call *%rax             /* f(arg); leaves SP ≡ 8 (mod 16) per ABI */

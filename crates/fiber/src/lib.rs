@@ -14,15 +14,20 @@
 //!   child on a fresh pooled stack via a full context switch), and
 //!   `seq_call` (Cilk-like fast clone: push, plain call, pop) — each
 //!   timed with `rdtsc`.
-//! - [`runtime`]: a multi-worker work-stealing executor (stack-pool
-//!   strategy + the THE deque from `uat-deque`), demonstrating genuine
-//!   steal-a-started-thread semantics in the shared-memory degenerate
-//!   case the paper notes in Section 2 ("migrating a task ... can be
-//!   done simply by passing the address of the stack").
-//! - [`interp`]: the native backend of the backend-neutral task model —
-//!   an interpreter that runs any `uat-model` `Workload` (`Work` /
-//!   `Spawn` / `JoinAll` programs) on real fibers with real frame
-//!   reservation, reporting the same unit accounting as the simulator.
+//! - [`sched`]: the one work-stealing scheduler both real backends run
+//!   — the paper's child-first spawn, FIFO stealing and Figure 7 join
+//!   loop over the THE deque from `uat-deque`, one join protocol, and
+//!   the interpreter that runs any `uat-model` `Workload` (`Work` /
+//!   `Spawn` / `JoinAll` programs) with real frame reservation —
+//!   generic over a `Placement`: where deques, stacks and per-worker
+//!   state live.
+//! - [`runtime`]: the thread placement — OS-thread workers, pooled
+//!   stacks, genuine steal-a-started-thread semantics in the
+//!   shared-memory degenerate case the paper notes in Section 2
+//!   ("migrating a task ... can be done simply by passing the address
+//!   of the stack") — plus the closure API (`Runtime`, `spawn`) and
+//!   [`NativeRunner`], which runs a `Workload` on it and reports the
+//!   same unit accounting as the simulator ([`NativeRunStats`]).
 //! - [`ntrace`]: native observability — per-worker TSC-stamped event
 //!   rings, `TimeAccount` buckets, and steal-phase spans feeding the
 //!   same `uat-trace` exporters and profiler the simulator uses
@@ -37,12 +42,13 @@
 //!   fixed virtual address in each process, shared-memory task-queue
 //!   words, a one-sided `process_vm_readv` stack transfer, and
 //!   `resume_context` of a started thread on the other process.
-//! - [`mpruntime`]: the demonstration promoted to a full third backend —
-//!   a process-per-worker driver ([`MultiProcessRunner`]) that maps
-//!   deques, fiber stacks, join blocks, and the metrics segment into one
-//!   `memfd` region at the same fixed address everywhere, so a
-//!   cross-process steal is deque atomics plus `resume_context` and the
-//!   parent exports per-worker metrics through `uat-rdma` fabric reads.
+//! - [`mpruntime`]: the process placement — the demonstration promoted
+//!   to a full third backend, a process-per-worker driver
+//!   ([`MultiProcessRunner`]) that maps deques, fiber stacks, task
+//!   records, join cells, and the metrics segment into one `memfd`
+//!   region at the same fixed address everywhere, so a cross-process
+//!   steal is deque atomics plus `resume_context` and the parent exports
+//!   per-worker metrics through `uat-rdma` fabric reads.
 //!
 //! # Safety
 //!
@@ -57,17 +63,16 @@
 
 pub mod creation;
 pub mod ctx;
-pub mod interp;
 pub mod ipc;
 pub mod mpruntime;
 pub mod nmetrics;
 pub mod ntrace;
 pub mod runtime;
+pub mod sched;
 pub mod stack;
 pub mod tsc;
 
 pub use creation::{measure_creation, CreationStrategy};
-pub use interp::{NativeRunStats, NativeRunner};
 pub use ipc::{
     probe_fixed_noreplace, probe_process_vm_readv, steal_between_processes, steal_with_retries,
 };
@@ -76,6 +81,7 @@ pub use mpruntime::{set_bootstrap_alloc_probe, MpReport, MultiProcessRunner};
 pub use nmetrics::{StallDump, WatchdogAction, WatchdogCfg, WatchdogReport};
 #[cfg(feature = "trace")]
 pub use ntrace::{NativeTrace, DEFAULT_RING_CAPACITY};
-pub use runtime::{current_worker_id, spawn, JoinHandle, Runtime, SchedStats};
+pub use runtime::{current_worker_id, spawn, JoinHandle, NativeRunner, Runtime, SchedStats};
+pub use sched::NativeRunStats;
 pub use stack::{Stack, StackPool};
 pub use tsc::{ClockSource, RunClock};

@@ -1,6 +1,8 @@
 //! The multiprocess uni-address backend: one **process** per worker,
 //! the paper's actual deployment model, as a first-class runtime.
 //!
+//! The scheduler is [`crate::sched`]'s, the same one the thread runtime
+//! runs; this module is its process `Placement` plus the coordinator.
 //! [`ipc`](crate::ipc) demonstrates the mechanism once (fork + fixed
 //! mapping + one steal); this module makes it a driver. The coordinator
 //! (parent) creates a single `memfd` and maps it `MAP_SHARED` at
@@ -17,19 +19,21 @@
 //!   `resume_context`, zero messages *and* zero copies (the shared
 //!   mapping is the transfer; compare [`ipc`](crate::ipc), where
 //!   private mappings force a real `process_vm_readv`);
-//! - each task's **program area** and its parent's **join block**, so
-//!   no private-heap pointer is ever reachable from a migratable stack
-//!   (invariant [I16]);
+//! - each task's **record** and **program area** (at its slot's stack
+//!   top) and its parent's **join cell** (a local on the parent's
+//!   stack), so no private-heap pointer is ever reachable from a
+//!   migratable stack (invariant [I16]);
+//! - the interpreter's **tally** rows (per-worker accounting cells);
 //! - the **metrics segment** ([`uat_metrics::shm`] layout), per-worker
 //!   counter cells the parent reads back through
 //!   [`uat_rdma::OneSidedFabric`] windows — per-worker metrics export
 //!   with no RPC;
-//! - the **control block**: live-task count, shutdown flag, the slot
-//!   free list, and the global frame-bytes accounting.
+//! - the **control block**: the root's join cell, the shutdown flag,
+//!   and the slot free list.
 //!
 //! A steal is therefore exactly the paper's: one-sided loads/stores/CAS
-//! on the victim's deque words, a one-sided `fetch_add` when a
-//! completing child decrements a (possibly remote) parent's join block,
+//! on the victim's deque words, a one-sided `fetch_sub` when a
+//! completing child departs from a (possibly remote) parent's join cell,
 //! and a direct resume of the stolen thread at its original address.
 //!
 //! # Fork safety (invariant [I15])
@@ -38,7 +42,7 @@
 //! allocate or take any lock between `fork` and its worker-loop entry
 //! (another thread could hold the allocator lock at fork time; glibc's
 //! `fork` re-initialises malloc, but the runtime does not rely on it
-//! during the window). The bootstrap path ([`mp_bootstrap`]) touches
+//! during the window). The bootstrap path (`mp_bootstrap`) touches
 //! only shared-region atomics and per-process statics; `uat-lint`'s
 //! `fork-safety` rule scans it (and its callees) for alloc/lock
 //! constructs, and the `mp_fork_safety` integration test counts
@@ -49,27 +53,26 @@
 //!
 //! # Per-process state
 //!
-//! Worker identity, the scheduler context, and the retire/join hand-off
-//! live in a per-process `static` behind the `#[inline(never)]`
-//! accessor [`mp_proc`]. The indirection is load-bearing exactly like
-//! the thread runtime's TLS accessor: a fiber migrates *between
-//! processes* at every suspension point, and any value loaded before
-//! the switch and kept in a callee-saved register is restored from the
-//! context record with the *previous* process's value. Every access
-//! after a potential migration re-derives through the opaque call.
+//! The scheduler's per-worker state (identity, scheduler context, the
+//! retire/join hand-off) lives in a per-process `static` behind the
+//! `#[inline(never)]` accessor `mp_proc`. The indirection is
+//! load-bearing exactly like the thread runtime's TLS accessor: a fiber
+//! migrates *between processes* at every suspension point, and any
+//! value loaded before the switch and kept in a callee-saved register
+//! is restored from the context record with the *previous* process's
+//! value. Every access after a potential migration re-derives through
+//! the opaque call.
 
-use crate::ctx::{resume_context, save_context_and_call, switch_stack_and_call, Context};
-use crate::interp::{with_reserved_frame, NativeRunStats};
-use crate::tsc;
+use crate::ntrace::WorkerTracer;
+use crate::sched::{self, Env, JoinCell, NativeRunStats, Placement, Prog, TallyRow, Task, Worker};
 use std::ffi::c_void;
-use std::mem::MaybeUninit;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr::addr_of_mut;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use uat_base::{SplitMix64, WorkerId};
-use uat_deque::ShmDeque;
-use uat_model::{task_shape_hash, Action, Workload};
+use uat_base::WorkerId;
+use uat_deque::{RawDeque, ShmDeque, StealPhases};
+use uat_model::Workload;
 use uat_rdma::{OneSidedFabric, ShmFabric};
 
 /// Fixed virtual address of the multiprocess uni-address region (same
@@ -80,23 +83,13 @@ pub const MP_BASE: usize = 0x7e00_0000_0000;
 const PAGE: usize = 4096;
 /// Entries per worker deque (matches the thread runtime's sizing).
 const DEQ_CAP: usize = 8192;
-/// Bytes at the top of each slot for the task header + program area —
-/// sized for the widest paper program (a `Chain::fig10(n)` root emits
-/// `2n` 16-byte actions). The mapping is sparse, so unused program
-/// pages cost nothing.
+/// Bytes above each slot's stack for the task's program area — sized
+/// for the widest paper program (a `Chain::fig10(n)` root emits `2n`
+/// 16-byte actions). The mapping is sparse, so unused program pages
+/// cost nothing.
 const PROG_BYTES: usize = 128 << 10;
 /// Hard cap on worker processes (sizes the control block).
 pub const MAX_WORKERS: usize = 64;
-
-// Per-worker stats cells (private accounting bank; *not* the exported
-// metrics segment). Cell indices within a `STATS_STRIDE` row.
-const SC_UNITS: usize = 0;
-const SC_WORK_CYCLES: usize = 1;
-const SC_JOINS: usize = 2;
-const SC_SPAWNS: usize = 3;
-const SC_FRAME_BYTES: usize = 4;
-const SC_FINGERPRINT: usize = 5;
-const STATS_STRIDE: usize = 8;
 
 // Per-worker cells of the exported metrics segment. Indices MUST match
 // `uat_metrics::shm::SEGMENT_COUNTERS` order (asserted by a test below)
@@ -116,18 +109,10 @@ struct Ctrl {
     slot_lock: AtomicU64,
     /// Head of the slot free list (index + 1; 0 = exhausted).
     slot_head: AtomicU64,
-    /// Started-but-unfinished tasks, machine-wide (root counts from the
-    /// start, so `root_done && live == 0` means the whole tree ran).
-    live: AtomicU64,
     /// Coordinator → workers: exit your scheduler loop.
     shutdown_flag: AtomicU64,
-    /// Set by the root task's completion.
-    root_done: AtomicU64,
-    /// Machine-wide live frame bytes (same accounting as the thread
-    /// interpreter's global cells).
-    live_frame_bytes: AtomicU64,
-    /// High-water of `live_frame_bytes`.
-    peak_frame_bytes: AtomicU64,
+    /// The coordinator's join on the root task.
+    root: JoinCell,
     /// Per-worker allocation count observed across the fork-safety
     /// window, written once at worker-loop entry (0 when no probe is
     /// installed; see [`set_bootstrap_alloc_probe`]).
@@ -136,54 +121,6 @@ struct Ctrl {
 
 const _: () = assert!(std::mem::size_of::<Ctrl>() <= PAGE);
 
-/// Per-task header at the top of its stack slot (just below the
-/// program area). `repr(C)` plain-old-data: it lives in the shared
-/// region and crosses process boundaries by address.
-#[repr(C)]
-struct MpHeader<D> {
-    /// Free-list link (meaningful only while the slot is free).
-    next_free: u64,
-    /// 1 for the root task (no join block, completion sets
-    /// `root_done`).
-    is_root: u64,
-    /// The parent's [`JoinBlock`] (`*const JoinBlock` as u64; 0 for the
-    /// root). Points into the *parent's* shm stack — valid in every
-    /// process per [I16].
-    join: u64,
-    /// The spawner's saved continuation, written by the spawn
-    /// trampoline and published by the child per [I12].
-    parent_ctx: u64,
-    /// This slot's index (so code on the slot's stack can retire it).
-    slot_idx: u64,
-    /// Number of `Action`s copied into the program area.
-    prog_len: u64,
-    /// The task descriptor (`Copy` plain data; [I16]).
-    desc: MaybeUninit<D>,
-}
-
-/// Per-task join synchronisation, **a local on the parent's shm
-/// stack**: outstanding-children count plus a single waiter slot.
-///
-/// The completing child's `pending.fetch_sub` is the protocol's
-/// one-sided remote fetch-and-add: the block may live on a stack owned
-/// by a fiber currently parked in a different process, and the
-/// decrement needs nothing from that process's CPU. The waiter slot is
-/// claimed by exactly one side (`swap` by the last child vs
-/// `compare_exchange` reclaim by the parker's scheduler), so a parked
-/// parent is resumed exactly once.
-///
-/// Ordering: the scheduler publishes the waiter then re-reads
-/// `pending`, while the last child decrements `pending` then reads the
-/// waiter — a store-buffering (Dekker) race across two locations, so
-/// all four accesses are SeqCst (an AcqRel pair is insufficient: each
-/// side may read the other's pre-store value and the parent is never
-/// resumed).
-#[repr(C)]
-struct JoinBlock {
-    pending: AtomicU64,
-    waiter: AtomicU64,
-}
-
 /// Byte map of the region: every address any process computes comes
 /// from this (pure arithmetic on `MP_BASE`), which is what makes the
 /// layout a uni-address contract rather than per-process bookkeeping.
@@ -191,10 +128,10 @@ struct JoinBlock {
 struct RegionLayout {
     workers: usize,
     slots: usize,
-    /// Whole slot: guard page + stack + header/program area.
+    /// Whole slot: guard page + stack + program area.
     slot_size: usize,
     metrics_off: usize,
-    stats_off: usize,
+    tally_off: usize,
     deques_off: usize,
     slots_off: usize,
     total: usize,
@@ -209,25 +146,27 @@ impl RegionLayout {
         assert!((1..=MAX_WORKERS).contains(&workers));
         assert!(slots > workers, "need at least one slot per worker");
         let metrics_off = PAGE;
-        let stats_off = metrics_off + round_page(workers * MC_STRIDE * 8);
-        let deques_off = stats_off + round_page(workers * STATS_STRIDE * 8);
-        let deq_block = ShmDeque::block_size(DEQ_CAP);
-        let slots_off = deques_off + round_page(workers * deq_block);
+        let tally_off = metrics_off + round_page(workers * MC_STRIDE * 8);
+        let tally_rows = (workers + 1) * std::mem::size_of::<TallyRow>();
+        let deques_off = tally_off + round_page(tally_rows);
+        let slots_off = deques_off + round_page(workers * ShmDeque::block_size(DEQ_CAP));
         let slot_size = PAGE + round_page(stack_size) + PROG_BYTES;
         RegionLayout {
             workers,
             slots,
             slot_size,
             metrics_off,
-            stats_off,
+            tally_off,
             deques_off,
             slots_off,
             total: slots_off + slots * slot_size,
         }
     }
 
-    fn ctrl(&self) -> *const Ctrl {
-        MP_BASE as *const Ctrl
+    fn ctrl(&self) -> &'static Ctrl {
+        // SAFETY: [I16] the control block heads the live mapping, which
+        // outlives every use (the coordinator unmaps only after reaping).
+        unsafe { &*(MP_BASE as *const Ctrl) }
     }
 
     fn metrics_cell_addr(&self, w: usize, c: usize) -> usize {
@@ -235,13 +174,13 @@ impl RegionLayout {
         MP_BASE + self.metrics_off + (w * MC_STRIDE + c) * 8
     }
 
-    fn stats_cell_addr(&self, w: usize, c: usize) -> usize {
-        debug_assert!(w < self.workers && c < STATS_STRIDE);
-        MP_BASE + self.stats_off + (w * STATS_STRIDE + c) * 8
+    /// The interpreter tally (`workers + 1` rows, zeroed by the mapping).
+    fn tally(&self) -> *const TallyRow {
+        (MP_BASE + self.tally_off) as *const TallyRow
     }
 
-    /// Worker `w`'s deque handle (any process may construct any
-    /// worker's handle — thieves do).
+    /// Worker `w`'s deque handle (any process may make any worker's
+    /// handle — thieves do).
     fn deque(&self, w: usize) -> ShmDeque {
         debug_assert!(w < self.workers);
         let base = MP_BASE + self.deques_off + w * ShmDeque::block_size(DEQ_CAP);
@@ -257,112 +196,143 @@ impl RegionLayout {
         MP_BASE + self.slots_off + slot * self.slot_size
     }
 
-    /// Top of the slot's stack == base of its header/program area.
+    /// Top of the slot's stack == base of its program area. The task
+    /// record sits just below it.
     fn slot_stack_top(&self, slot: usize) -> usize {
         self.slot_base(slot) + self.slot_size - PROG_BYTES
     }
 
-    fn header<D>(&self, slot: usize) -> *mut MpHeader<D> {
-        self.slot_stack_top(slot) as *mut MpHeader<D>
-    }
-
-    /// First `Action<D>` of the slot's program area (just after the
-    /// header, aligned).
-    fn prog_ptr<D>(&self, slot: usize) -> *mut Action<D> {
-        let a = std::mem::align_of::<Action<D>>();
-        let off = std::mem::size_of::<MpHeader<D>>().div_ceil(a) * a;
-        (self.slot_stack_top(slot) + off) as *mut Action<D>
-    }
-
-    /// `Action<D>`s the program area can hold.
-    fn prog_capacity<D>(&self) -> usize {
-        let a = std::mem::align_of::<Action<D>>();
-        let off = std::mem::size_of::<MpHeader<D>>().div_ceil(a) * a;
-        (PROG_BYTES - off) / std::mem::size_of::<Action<D>>()
+    /// The free-list link of a free slot (first word of its program
+    /// area).
+    fn free_link(&self, slot: usize) -> &'static AtomicU64 {
+        // SAFETY: [I16] an 8-aligned word inside the live mapping; while
+        // the slot is free, only the free list (under its lock) uses it.
+        unsafe { &*(self.slot_stack_top(slot) as *const AtomicU64) }
     }
 }
 
-/// A cell of the region interpreted as a process-shared atomic.
-#[inline]
-fn cell(addr: usize) -> &'static AtomicU64 {
-    debug_assert!(addr.is_multiple_of(8));
-    // SAFETY: [I16] every `cell` call site passes an address computed by
-    // `RegionLayout` inside the live mapping; the region outlives every
-    // worker's use of it (the coordinator unmaps only after reaping).
-    unsafe { &*(addr as *const AtomicU64) }
-}
-
 // ---------------------------------------------------------------------
-// Per-process state.
+// The process placement.
 // ---------------------------------------------------------------------
 
-struct MpProc {
+/// The process placement's per-worker state: the region's layout and
+/// every worker's deque handle, built at bootstrap without allocating.
+pub(crate) struct Procs {
     worker: usize,
     layout: RegionLayout,
-    /// This process's parked scheduler context (worker OS stack).
-    sched_ctx: u64,
-    /// Slot retired by the previously completed task (+1; 0 = none).
-    pending_retire: u64,
-    /// Join park hand-off: (`*const JoinBlock`, ctx) per [I12].
-    pending_join_block: u64,
-    pending_join_ctx: u64,
-    rng: SplitMix64,
-    divisor: u64,
-    /// The workload, by pre-fork pointer (copy-on-write read-only data,
-    /// same virtual address in every worker).
-    env: u64,
+    deques: [Option<ShmDeque>; MAX_WORKERS],
+}
+
+impl Procs {
+    fn new(worker: usize, layout: RegionLayout) -> Procs {
+        Procs {
+            worker,
+            layout,
+            deques: std::array::from_fn(|w| (w < layout.workers).then(|| layout.deque(w))),
+        }
+    }
+
+    /// Bump one of this worker's metrics-segment cells.
+    fn count(&self, c: usize) {
+        // SAFETY: [I16] the cell address comes from the layout, inside
+        // the live mapping.
+        let cell = unsafe { &*(self.layout.metrics_cell_addr(self.worker, c) as *const AtomicU64) };
+        cell.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// The worker process's state. Plain per-process memory: every worker
 /// process is single-threaded, and the parent never touches it.
-static mut MP_PROC: Option<MpProc> = None;
+static mut MP_PROC: Option<Worker<Procs>> = None;
 
-/// Re-derive the per-process state. `inline(never)` is load-bearing for
+/// Re-derive the per-process worker. `inline(never)` is load-bearing for
 /// the same reason as the thread runtime's TLS accessor (see the module
 /// docs): fibers resume in *other processes*, where this static holds
 /// different values, so no load may be CSE'd across a context switch.
 #[inline(never)]
-fn mp_proc() -> *mut MpProc {
+fn mp_proc() -> *mut Worker<Procs> {
     // SAFETY: [I15] MP_PROC is written once during single-threaded
     // bootstrap and only ever accessed from that process's only thread.
     match unsafe { &mut *addr_of_mut!(MP_PROC) } {
-        Some(p) => p as *mut MpProc,
+        Some(p) => p as *mut Worker<Procs>,
         None => panic!("multiprocess operation outside a worker process"),
     }
 }
 
-/// Bump a metrics-segment cell of the *current* worker.
-#[inline]
-fn mcell_add(c: usize, v: u64) {
-    // SAFETY: [I15] mp_proc() is this process's live state.
-    let p = unsafe { &*mp_proc() };
-    cell(p.layout.metrics_cell_addr(p.worker, c)).fetch_add(v, Ordering::Relaxed);
-}
+impl Placement for Procs {
+    /// The task's stack slot.
+    type Own = usize;
 
-/// Bump a stats-bank cell of the *current* worker.
-#[inline]
-fn scell_add(c: usize, v: u64) {
-    // SAFETY: [I15] as in `mcell_add`.
-    let p = unsafe { &*mp_proc() };
-    cell(p.layout.stats_cell_addr(p.worker, c)).fetch_add(v, Ordering::Relaxed);
-}
+    fn worker() -> *mut Worker<Procs> {
+        mp_proc()
+    }
 
-/// Free the slot retired by the previously completed task, if any. Must
-/// run at every point control can land after a completion (mirrors the
-/// thread runtime's `collect_retired`).
-#[inline]
-fn mp_collect_retired() {
-    // SAFETY: [I15] exclusive access by this process's only thread.
-    let p = unsafe { &mut *mp_proc() };
-    if p.pending_retire != 0 {
-        let idx = (p.pending_retire - 1) as usize;
-        p.pending_retire = 0;
-        free_slot(&p.layout, idx);
+    fn workers(&self) -> usize {
+        self.layout.workers
+    }
+
+    fn deque(&self, v: usize) -> &RawDeque<u64> {
+        self.deques[v].as_ref().expect("deque of a live worker")
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.layout.ctrl().shutdown_flag.load(Ordering::Acquire) != 0
+    }
+
+    fn alloc(&mut self) -> (usize, *mut u8) {
+        let slot = alloc_slot(&self.layout);
+        (slot, self.layout.slot_stack_top(slot) as *mut u8)
+    }
+
+    fn free(&mut self, slot: usize) {
+        free_slot(&self.layout, slot);
+    }
+
+    fn program_area(&self, slot: &usize) -> Option<(*mut u8, usize)> {
+        Some((self.layout.slot_stack_top(*slot) as *mut u8, PROG_BYTES))
+    }
+
+    fn task_panicked() -> ! {
+        // The coordinator turns the exit status into a run failure.
+        // eprintln! would take the stderr lock, which another parent
+        // thread may have held at fork time — only async-signal-safe
+        // calls are allowed here, so write(2) raw.
+        let msg = b"uat-fiber(mp): task panicked; worker exiting\n";
+        // SAFETY: [I10] async-signal-safe raw write + process exit.
+        unsafe {
+            libc::write(2, msg.as_ptr() as *const c_void, msg.len());
+            libc::_exit(101)
+        }
+    }
+
+    fn on_steal(&mut self, _victim: usize, ok: bool, _phases: Option<&StealPhases>) {
+        self.count(if ok {
+            MC_STEALS_COMPLETED
+        } else {
+            MC_STEALS_FAILED
+        });
+    }
+
+    fn on_loop(&mut self) {
+        self.count(MC_HEARTBEATS);
+    }
+
+    fn on_park(&mut self) {
+        self.count(MC_PARKS);
+    }
+
+    fn on_unpark(&mut self) {
+        self.count(MC_UNPARKS);
+    }
+
+    fn on_task_begin(&mut self) -> u64 {
+        self.count(MC_TASKS);
+        0
     }
 }
 
 // ---------------------------------------------------------------------
-// Slot free list (spinlock + links through the free slots' headers).
+// Slot free list (spinlock + links through the free slots).
 // ---------------------------------------------------------------------
 
 fn lock_slots(ctrl: &Ctrl) {
@@ -384,8 +354,7 @@ fn unlock_slots(ctrl: &Ctrl) {
 }
 
 fn alloc_slot(layout: &RegionLayout) -> usize {
-    // SAFETY: [I16] ctrl is the mapped control block.
-    let ctrl = unsafe { &*layout.ctrl() };
+    let ctrl = layout.ctrl();
     lock_slots(ctrl);
     let head = ctrl.slot_head.load(Ordering::Relaxed);
     if head == 0 {
@@ -396,23 +365,19 @@ fn alloc_slot(layout: &RegionLayout) -> usize {
         );
     }
     let idx = (head - 1) as usize;
-    // SAFETY: [I16] a free slot's header is owned by the free list; the
-    // lock we hold orders this read after the corresponding write.
-    let next = unsafe { (*layout.header::<()>(idx)).next_free };
+    let next = layout.free_link(idx).load(Ordering::Relaxed);
     ctrl.slot_head.store(next, Ordering::Relaxed);
     unlock_slots(ctrl);
     idx
 }
 
+/// Return a dead slot (its task completed and control left its stack).
 fn free_slot(layout: &RegionLayout, idx: usize) {
-    // SAFETY: [I16] as in `alloc_slot`.
-    let ctrl = unsafe { &*layout.ctrl() };
+    let ctrl = layout.ctrl();
     lock_slots(ctrl);
-    // SAFETY: [I16] the slot is dead (its task completed and control
-    // left its stack); the free list owns its header from here.
-    unsafe {
-        (*layout.header::<()>(idx)).next_free = ctrl.slot_head.load(Ordering::Relaxed);
-    }
+    layout
+        .free_link(idx)
+        .store(ctrl.slot_head.load(Ordering::Relaxed), Ordering::Relaxed);
     ctrl.slot_head.store(idx as u64 + 1, Ordering::Relaxed);
     unlock_slots(ctrl);
 }
@@ -448,501 +413,36 @@ fn probe_allocs() -> u64 {
 }
 
 // ---------------------------------------------------------------------
-// The per-worker scheduler (runs in each worker process).
+// The worker process.
 // ---------------------------------------------------------------------
 
-/// Worker bootstrap: everything between `fork` and the scheduler loop.
+/// Worker bootstrap: everything between `fork` and the scheduler loop,
+/// then the loop itself. Worker 0 seeds `root`. Never returns — the
+/// worker process leaves via `_exit(0)`.
 ///
-/// **Fork-safety window [I15]**: from entry until `mp_worker_loop`
-/// records the probe delta, this path must not allocate, take any lock,
-/// or call anything that might (the parent is multithreaded; another
-/// thread may hold the allocator lock at fork time). `uat-lint`'s
-/// `fork-safety` rule enforces the discipline statically over this
-/// function and its direct callees; the `mp_fork_safety` test enforces
-/// it dynamically.
-unsafe fn mp_bootstrap<W>(id: usize, layout: RegionLayout, env: *const W, divisor: u64) -> !
-where
-    W: Workload,
-    W::Desc: Copy,
-{
+/// **Fork-safety window [I15]**: from entry until the probe delta is
+/// recorded, this path must not allocate, take any lock, or call
+/// anything that might (the parent is multithreaded; another thread may
+/// hold the allocator lock at fork time). `uat-lint`'s `fork-safety`
+/// rule enforces the discipline statically over this function and its
+/// direct callees (the shared scheduler loop among them); the
+/// `mp_fork_safety` test enforces it dynamically.
+unsafe fn mp_bootstrap(id: usize, layout: RegionLayout, root: Option<*mut Task<Procs>>) -> ! {
     let before = probe_allocs();
     // SAFETY: [I15] single-threaded fresh child; first and only
     // initialisation of this process's state. In-place write, no heap.
     unsafe {
-        *addr_of_mut!(MP_PROC) = Some(MpProc {
-            worker: id,
-            layout,
-            sched_ctx: 0,
-            pending_retire: 0,
-            pending_join_block: 0,
-            pending_join_ctx: 0,
-            rng: SplitMix64::new(0x5EED ^ id as u64),
-            divisor,
-            env: env as u64,
-        });
+        let trace = WorkerTracer::new(None, id);
+        *addr_of_mut!(MP_PROC) = Some(Worker::new(id, Procs::new(id, layout), trace));
     }
-    // SAFETY: [I16] ctrl is the mapped control block.
-    let ctrl = unsafe { &*layout.ctrl() };
-    ctrl.bootstrap_allocs[id].store(probe_allocs().wrapping_sub(before), Ordering::Release);
+    layout.ctrl().bootstrap_allocs[id]
+        .store(probe_allocs().wrapping_sub(before), Ordering::Release);
     // Window closed: from here on allocation is permitted again.
-    // SAFETY: [I15] state initialised just above.
-    unsafe { mp_worker_loop::<W>() }
-}
-
-/// The scheduler loop: seed the root (worker 0), then pop-own /
-/// steal-random until shutdown. Never returns — the worker process
-/// leaves via `_exit(0)`.
-unsafe fn mp_worker_loop<W>() -> !
-where
-    W: Workload,
-    W::Desc: Copy,
-{
-    // SAFETY: [I15] our own per-process state.
-    let (layout, id) = unsafe {
-        let p = &*mp_proc();
-        (p.layout, p.worker)
-    };
-    // SAFETY: [I16] mapped control block.
-    let ctrl = unsafe { &*layout.ctrl() };
-
-    if id == 0 {
-        // Seed the root task (its header was written pre-fork by the
-        // coordinator into slot 0).
-        // SAFETY: [I5] mp_fresh_tramp diverges into the root fiber; the
-        // scheduler context saved here is resumed exactly once.
-        unsafe {
-            save_context_and_call(
-                std::ptr::null_mut(),
-                mp_fresh_tramp::<W>,
-                layout.header::<W::Desc>(0) as *mut c_void,
-            );
-        }
-        mp_collect_retired();
-    }
-
-    let n = layout.workers;
-    let mut idle_spins = 0u32;
-    let mut parked = false;
-    loop {
-        mp_collect_retired();
-        mcell_add(MC_HEARTBEATS, 1);
-
-        // Scheduler-side join park [I12]: a fiber that suspended on a
-        // join handed us its (block, ctx); publish the waiter from this
-        // OS stack. If every child already finished, reclaim and resume
-        // it right away (exactly one side ever owns the ctx: the last
-        // child's `swap` or this `compare_exchange`).
-        // SAFETY: [I15] exclusive per-process state.
-        let pending = unsafe {
-            let p = &mut *mp_proc();
-            let b = p.pending_join_block;
-            let c = p.pending_join_ctx;
-            p.pending_join_block = 0;
-            p.pending_join_ctx = 0;
-            (b, c)
-        };
-        if pending.0 != 0 {
-            // SAFETY: [I16] the block lives on the parked parent's shm
-            // stack, which stays live until the parent is resumed.
-            let jb = unsafe { &*(pending.0 as *const JoinBlock) };
-            // Publish-waiter then read-pending vs. the last child's
-            // decrement-pending then read-waiter is a two-location
-            // Dekker (store-buffering) pattern: both sides must be
-            // SeqCst or each can miss the other's store and the parked
-            // parent is never resumed. Same reasoning as the SeqCst
-            // store/load pair in ShmDeque::pop.
-            jb.waiter.store(pending.1, Ordering::SeqCst);
-            if jb.pending.load(Ordering::SeqCst) == 0
-                && jb
-                    .waiter
-                    .compare_exchange(pending.1, 0, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            {
-                idle_spins = 0;
-                mp_run_ctx(pending.1);
-                continue;
-            }
-        }
-
-        // Own deque first, then a random victim (the one-sided steal:
-        // the victim process's CPU is not involved).
-        let target = layout.deque(id).pop().or_else(|| {
-            if n == 1 {
-                return None;
-            }
-            // SAFETY: [I15] exclusive per-process rng.
-            let mut v = unsafe { (*mp_proc()).rng.below(n as u64 - 1) as usize };
-            if v >= id {
-                v += 1;
-            }
-            let got = layout.deque(v).steal();
-            mcell_add(
-                if got.is_some() {
-                    MC_STEALS_COMPLETED
-                } else {
-                    MC_STEALS_FAILED
-                },
-                1,
-            );
-            got
-        });
-        match target {
-            Some(ctx) => {
-                idle_spins = 0;
-                if parked {
-                    parked = false;
-                    mcell_add(MC_UNPARKS, 1);
-                }
-                mp_run_ctx(ctx);
-            }
-            None => {
-                if ctrl.shutdown_flag.load(Ordering::Acquire) != 0 {
-                    break;
-                }
-                idle_spins = idle_spins.saturating_add(1);
-                if idle_spins > 64 {
-                    if !parked {
-                        parked = true;
-                        mcell_add(MC_PARKS, 1);
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(20));
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
-    }
+    sched::worker_loop(root);
     // SAFETY: [I10] _exit skips atexit handlers and destructors — the
     // worker owns nothing outside the shared region worth destructing,
     // and must not run the parent's cloned cleanup.
     unsafe { libc::_exit(0) }
-}
-
-/// Resume a ready continuation, saving this scheduler's own context so
-/// fibers can bail back to the loop.
-fn mp_run_ctx(ctx: u64) {
-    // SAFETY: [I5] mp_run_tramp diverges into `ctx`; the saved
-    // scheduler context is resumed exactly once (by whichever fiber
-    // next runs out of local work in this process).
-    unsafe {
-        save_context_and_call(std::ptr::null_mut(), mp_run_tramp, ctx as *mut c_void);
-    }
-    mp_collect_retired();
-}
-
-unsafe extern "C" fn mp_run_tramp(sched: *mut Context, arg: *mut c_void) {
-    // SAFETY: [I15] exclusive per-process state; borrow ends before the
-    // resume.
-    unsafe {
-        (*mp_proc()).sched_ctx = sched as u64;
-    }
-    // SAFETY: [I5] arg is a live continuation handed out by a deque.
-    unsafe { resume_context(arg as *mut Context) }
-}
-
-unsafe extern "C" fn mp_fresh_tramp<W>(sched: *mut Context, arg: *mut c_void)
-where
-    W: Workload,
-    W::Desc: Copy,
-{
-    // SAFETY: [I15] as in mp_run_tramp.
-    let top = unsafe {
-        (*mp_proc()).sched_ctx = sched as u64;
-        let hdr = &*(arg as *const MpHeader<W::Desc>);
-        (*mp_proc()).layout.slot_stack_top(hdr.slot_idx as usize) as *mut u8
-    };
-    // SAFETY: [I6][I9] the slot stack is mapped and fresh;
-    // mp_child_main diverges.
-    unsafe { switch_stack_and_call(top, mp_child_main::<W>, arg) }
-}
-
-// ---------------------------------------------------------------------
-// Task execution on shm fiber stacks.
-// ---------------------------------------------------------------------
-
-unsafe extern "C" fn mp_child_main<W>(arg: *mut c_void) -> !
-where
-    W: Workload,
-    W::Desc: Copy,
-{
-    let hdr = arg as *mut MpHeader<W::Desc>;
-    // SAFETY: [I16] the header is this task's slot memory, ours until
-    // retirement; reads of POD fields.
-    let (slot, is_root, join, parent_ctx) = unsafe {
-        (
-            (*hdr).slot_idx as usize,
-            (*hdr).is_root != 0,
-            (*hdr).join,
-            (*hdr).parent_ctx,
-        )
-    };
-    if parent_ctx != 0 {
-        // Publish the spawner's continuation: stealable (by any
-        // process) from now on. Safe here per [I12] — we run on the
-        // child's fresh stack; every parent-stack frame below the
-        // record is already dead.
-        // SAFETY: [I15] own process state for the deque handle.
-        let (layout, id) = unsafe {
-            let p = &*mp_proc();
-            (p.layout, p.worker)
-        };
-        layout.deque(id).push(parent_ctx);
-    }
-    if catch_unwind(AssertUnwindSafe(|| {
-        // SAFETY: [I15][I16] slot header and env are live; exec_mp is
-        // entered exactly once per task.
-        unsafe { exec_mp::<W>(slot) }
-    }))
-    .is_err()
-    {
-        // Unwinding across a context switch is UB; mirror the thread
-        // runtime (and the paper's C++ runtime) and die loudly. The
-        // coordinator turns the exit status into a run failure.
-        // eprintln! would take the stderr lock, which another parent
-        // thread may have held at fork time — only async-signal-safe
-        // calls are allowed here, so write(2) raw.
-        let msg = b"uat-fiber(mp): task panicked; worker exiting\n";
-        // SAFETY: [I10] async-signal-safe raw write + process exit.
-        unsafe {
-            libc::write(2, msg.as_ptr() as *const c_void, msg.len());
-            libc::_exit(101)
-        }
-    }
-    // Completion. Retire our own stack (freed once control left it),
-    // then the one-sided join decrement on the (possibly remote)
-    // parent.
-    // SAFETY: [I15] exclusive per-process state (the worker this fiber
-    // *ended* on, re-derived).
-    let (layout, id) = unsafe {
-        let p = &mut *mp_proc();
-        debug_assert_eq!(p.pending_retire, 0);
-        p.pending_retire = slot as u64 + 1;
-        (p.layout, p.worker)
-    };
-    // SAFETY: [I16] mapped control block.
-    let ctrl = unsafe { &*layout.ctrl() };
-    if is_root {
-        ctrl.root_done.store(1, Ordering::Release);
-    } else {
-        // SAFETY: [I16] the parent's join block outlives all its
-        // children: the parent cannot leave its JoinAll scope while
-        // `pending > 0`.
-        let jb = unsafe { &*(join as *const JoinBlock) };
-        // SeqCst on both halves: this decrement/read-waiter races the
-        // scheduler's store-waiter/read-pending (the Dekker pair — see
-        // mp_worker_loop); weaker orderings allow both sides to read
-        // stale values and strand the parked parent.
-        if jb.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let waiter = jb.waiter.swap(0, Ordering::SeqCst);
-            if waiter != 0 {
-                // The parked parent becomes runnable here, on the last
-                // child's worker — and immediately stealable by anyone.
-                layout.deque(id).push(waiter);
-            }
-        }
-    }
-    ctrl.live.fetch_sub(1, Ordering::AcqRel);
-    // Figure 4 lines 13-15: pop the parent continuation; if stolen,
-    // fall back to the scheduler.
-    let target = match layout.deque(id).pop() {
-        Some(c) => c as *mut Context,
-        // SAFETY: [I15] this process's parked scheduler context.
-        None => unsafe { (*mp_proc()).sched_ctx as *mut Context },
-    };
-    // SAFETY: [I5] target is resumed exactly once; only Copy locals
-    // live here.
-    unsafe { resume_context(target) }
-}
-
-/// Interpret one task on its shm fiber stack: expand the program into
-/// the slot's program area, then execute it.
-unsafe fn exec_mp<W>(slot: usize)
-where
-    W: Workload,
-    W::Desc: Copy,
-{
-    // SAFETY: [I15] per-process state; values are Copy snapshots.
-    let (layout, divisor, env) = unsafe {
-        let p = &*mp_proc();
-        (p.layout, p.divisor, p.env)
-    };
-    // SAFETY: [I16] the workload was constructed before fork and is
-    // read-only for the whole run: the copy-on-write pages hold the
-    // same bytes at the same address in every process.
-    let w = unsafe { &*(env as *const W) };
-    let hdr = layout.header::<W::Desc>(slot);
-    // SAFETY: [I16] the slot header is ours; desc was written by the
-    // spawner (or the coordinator, for the root).
-    let d: W::Desc = unsafe { (*hdr).desc.assume_init() };
-
-    let frame = w.frame_size(&d);
-    let units = w.units(&d);
-    // SAFETY: [I16] mapped control block.
-    let ctrl = unsafe { &*layout.ctrl() };
-    let live = ctrl.live_frame_bytes.fetch_add(frame, Ordering::AcqRel) + frame;
-    ctrl.peak_frame_bytes.fetch_max(live, Ordering::AcqRel);
-
-    // Expand the program through a transient Vec, then copy it into the
-    // slot's program area and drop the Vec — no private-heap pointer
-    // may survive to the first migration point below [I16].
-    let mut prog: Vec<Action<W::Desc>> = Vec::new();
-    w.program(&d, &mut prog);
-    let n = prog.len();
-    assert!(
-        n <= layout.prog_capacity::<W::Desc>(),
-        "task program ({n} actions) exceeds the slot program area"
-    );
-    let children = prog
-        .iter()
-        .filter(|a| matches!(a, Action::Spawn(_)))
-        .count() as u64;
-    let prog_ptr = layout.prog_ptr::<W::Desc>(slot);
-    for (i, a) in prog.into_iter().enumerate() {
-        // SAFETY: [I16] i < prog_capacity (asserted); the program area
-        // is this slot's memory.
-        unsafe { prog_ptr.add(i).write(a) };
-    }
-    // SAFETY: [I16] header is ours.
-    unsafe { (*hdr).prog_len = n as u64 };
-
-    mcell_add(MC_TASKS, 1);
-    scell_add(SC_UNITS, units);
-    scell_add(SC_FRAME_BYTES, frame);
-    scell_add(SC_FINGERPRINT, task_shape_hash(children, units, frame));
-
-    // The join block is a local of this frame — on the shm stack, so a
-    // child completing in another process reaches it at the same
-    // address [I16]. It lives exactly as long as the task.
-    let jb = JoinBlock {
-        pending: AtomicU64::new(0),
-        waiter: AtomicU64::new(0),
-    };
-
-    with_reserved_frame(frame, || {
-        for i in 0..n {
-            // SAFETY: [I16] reading back the i-th action we wrote above;
-            // Desc is Copy so the read copy has no drop obligations.
-            let a: Action<W::Desc> = unsafe { prog_ptr.add(i).read() };
-            match a {
-                Action::Work(cycles) => {
-                    scell_add(SC_WORK_CYCLES, cycles);
-                    tsc::spin_cycles(cycles / divisor);
-                }
-                Action::Spawn(child) => {
-                    scell_add(SC_SPAWNS, 1);
-                    mp_spawn::<W>(child, &jb);
-                }
-                Action::JoinAll => {
-                    scell_add(SC_JOINS, 1);
-                    mp_join(&jb);
-                }
-            }
-        }
-        // Join stragglers so a malformed workload cannot leak running
-        // tasks past its own completion (mirrors the thread interp).
-        mp_join(&jb);
-    });
-    ctrl.live_frame_bytes.fetch_sub(frame, Ordering::AcqRel);
-}
-
-/// Spawn a child task, child-first: the child starts right now on a
-/// fresh slot stack and the caller's continuation becomes stealable by
-/// every process.
-fn mp_spawn<W>(desc: W::Desc, jb: &JoinBlock)
-where
-    W: Workload,
-    W::Desc: Copy,
-{
-    // SAFETY: [I15] per-process state snapshot.
-    let layout = unsafe { (*mp_proc()).layout };
-    jb.pending.fetch_add(1, Ordering::AcqRel);
-    // SAFETY: [I16] mapped control block.
-    unsafe { &*layout.ctrl() }
-        .live
-        .fetch_add(1, Ordering::AcqRel);
-    let slot = alloc_slot(&layout);
-    let hdr = layout.header::<W::Desc>(slot);
-    // SAFETY: [I16] a freshly allocated slot's header is exclusively
-    // ours until the child publishes/retires it.
-    unsafe {
-        (*hdr).is_root = 0;
-        (*hdr).join = jb as *const JoinBlock as u64;
-        (*hdr).parent_ctx = 0;
-        (*hdr).slot_idx = slot as u64;
-        (*hdr).prog_len = 0;
-        (*hdr).desc = MaybeUninit::new(desc);
-    }
-    // SAFETY: [I5] mp_spawn_tramp never returns normally; the
-    // continuation saved here is resumed exactly once (by the child's
-    // pop or by a thief in any process).
-    unsafe {
-        save_context_and_call(
-            std::ptr::null_mut(),
-            mp_spawn_tramp::<W>,
-            hdr as *mut c_void,
-        );
-    }
-    // Resumed — possibly in a different process.
-    mp_collect_retired();
-}
-
-unsafe extern "C" fn mp_spawn_tramp<W>(ctx: *mut Context, arg: *mut c_void)
-where
-    W: Workload,
-    W::Desc: Copy,
-{
-    // [I12]: do NOT publish `ctx` here — this frame lives on the very
-    // stack `ctx` points into. Stash it in the child's header and leave
-    // this stack; mp_child_main publishes it from the child's stack.
-    // SAFETY: [I16] the header is the child's slot, exclusively ours
-    // until the switch below hands it to mp_child_main.
-    let top = unsafe {
-        let hdr = &mut *(arg as *mut MpHeader<W::Desc>);
-        hdr.parent_ctx = ctx as u64;
-        (*mp_proc()).layout.slot_stack_top(hdr.slot_idx as usize) as *mut u8
-    };
-    // SAFETY: [I6][I9] fresh slot stack; mp_child_main diverges.
-    unsafe { switch_stack_and_call(top, mp_child_main::<W>, arg) }
-}
-
-/// Join every child spawned on `jb` so far: one pending-count load on
-/// the fast path, else suspend and let this worker find other work
-/// (Figure 7).
-fn mp_join(jb: &JoinBlock) {
-    if jb.pending.load(Ordering::Acquire) == 0 {
-        return;
-    }
-    // SAFETY: [I5] mp_join_tramp either parks this continuation
-    // (resumed exactly once by the last child) or the scheduler resumes
-    // it inline after the reclaim CAS.
-    unsafe {
-        save_context_and_call(
-            std::ptr::null_mut(),
-            mp_join_tramp,
-            jb as *const JoinBlock as *mut c_void,
-        );
-    }
-    // Resumed — possibly in a different process, with all children done.
-    mp_collect_retired();
-    debug_assert_eq!(jb.pending.load(Ordering::Acquire), 0);
-}
-
-unsafe extern "C" fn mp_join_tramp(ctx: *mut Context, arg: *mut c_void) {
-    // [I12]: publishing `ctx` in the waiter slot from here would let
-    // the last child resume it while this very frame still runs on its
-    // stack. Hand the park to the scheduler on the worker's OS stack.
-    // SAFETY: [I15] exclusive per-process state; borrow ends before the
-    // resume.
-    let sched = unsafe {
-        let p = &mut *mp_proc();
-        debug_assert_eq!(p.pending_join_block, 0);
-        p.pending_join_block = arg as u64;
-        p.pending_join_ctx = ctx as u64;
-        p.sched_ctx as *mut Context
-    };
-    // SAFETY: [I5] the scheduler context is parked in its loop and
-    // resumed exactly once per lineage.
-    unsafe { resume_context(sched) }
 }
 
 // ---------------------------------------------------------------------
@@ -1037,10 +537,7 @@ impl MultiProcessRunner {
         // concurrent run's mapping (silently skipping tests) and make
         // that run's own MAP_FIXED_NOREPLACE fail.
         let _guard = MP_RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        map_region(PAGE).map(|_| {
-            // SAFETY: [I10] unmapping exactly the probe mapping.
-            unsafe { libc::munmap(MP_BASE as *mut c_void, PAGE) };
-        })
+        map_region(PAGE).map(|_| drop(Mapped(PAGE)))
     }
 
     /// Run `w` to completion across worker processes; panics on
@@ -1077,19 +574,15 @@ impl MultiProcessRunner {
         W::Desc: Copy,
     {
         // One multiprocess run at a time per OS process (fixed-address
-        // region). A poisoned lock just means another test's run
-        // panicked; the region was unmapped on that panic path is NOT
-        // guaranteed, but the mapping attempt below will fail loudly
-        // rather than corrupt anything (NOREPLACE).
+        // region). A poisoned lock just means another run panicked; its
+        // `Mapped` guard unmapped the region on the way out.
         let _guard = MP_RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
         let layout = RegionLayout::new(self.workers, self.slots, self.stack_size);
         map_region(layout.total)?;
-        let out = self.run_mapped(&layout, w);
-        // SAFETY: [I10] unmapping exactly what map_region mapped; every
-        // worker has been reaped, so no other process holds the pages
-        // via us (the memfd itself dies with its last mapping).
-        unsafe { libc::munmap(MP_BASE as *mut c_void, layout.total) };
-        Ok(out)
+        // Dropped before the lock guard, on unwind too: a panicking run
+        // (a dead worker, a task panic) must not leave MP_BASE mapped.
+        let _mapped = Mapped(layout.total);
+        Ok(self.run_mapped(&layout, w))
     }
 
     fn run_mapped<W>(&self, layout: &RegionLayout, w: W) -> MpReport
@@ -1107,32 +600,41 @@ impl MultiProcessRunner {
             };
             assert_eq!(rc, 0, "mprotect(slot guard) failed");
         }
-        // SAFETY: [I16] freshly mapped (zeroed) control block.
-        let ctrl = unsafe { &*layout.ctrl() };
-        ctrl.live.store(1, Ordering::Relaxed); // the root
-                                               // Free list: slots 1..N (slot 0 is the root's).
+        // SAFETY: [I16] pre-fork, single-threaded initialisation of the
+        // freshly mapped (zeroed) control block: a zeroed cell would not
+        // count the coordinator as the root's joiner.
+        unsafe { std::ptr::addr_of_mut!((*(MP_BASE as *mut Ctrl)).root).write(JoinCell::new()) };
+        let ctrl = layout.ctrl();
+        ctrl.root.add_child();
+        // Free list: slots 1..N (slot 0 is the root's).
         for s in 1..layout.slots {
-            // SAFETY: [I16] pre-fork, single-threaded init of free
-            // slots' headers.
-            unsafe {
-                (*layout.header::<()>(s)).next_free = if s + 1 < layout.slots {
-                    s as u64 + 2
-                } else {
-                    0
-                };
-            }
+            let next = if s + 1 < layout.slots {
+                s as u64 + 2
+            } else {
+                0
+            };
+            layout.free_link(s).store(next, Ordering::Relaxed);
         }
-        ctrl.slot_head.store(2, Ordering::Relaxed); // slot index 1
-                                                    // Root task header into slot 0.
-        let root_hdr = layout.header::<W::Desc>(0);
-        // SAFETY: [I16] pre-fork init of the root's slot header.
-        unsafe {
-            (*root_hdr).is_root = 1;
-            (*root_hdr).join = 0;
-            (*root_hdr).parent_ctx = 0;
-            (*root_hdr).slot_idx = 0;
-            (*root_hdr).desc = MaybeUninit::new(w.root());
-        }
+        // Head: slot index 1.
+        ctrl.slot_head.store(2, Ordering::Relaxed);
+
+        // The workload and the root's record, written pre-fork: every
+        // worker inherits them at the same address (the environment as
+        // copy-on-write heap and stack, the record in the region).
+        let env = Env {
+            w,
+            divisor: self.work_divisor,
+            tally: layout.tally(),
+        };
+        let root = Prog {
+            env: &env,
+            desc: env.w.root(),
+        };
+        let top = layout.slot_stack_top(0) as *mut u8;
+        let body = sched::exec::<Procs, W>;
+        // SAFETY: [I6][I16] slot 0 is fresh and reserved for the root;
+        // the root cell lives in the control block.
+        let root = unsafe { sched::new_task(0usize, top, &ctrl.root, 0, body, root) };
 
         // Flush inherited stdio buffers so workers cannot re-emit them.
         use std::io::Write as _;
@@ -1149,9 +651,10 @@ impl MultiProcessRunner {
             assert!(pid >= 0, "fork failed");
             if pid == 0 {
                 // ----- worker process -----
-                let exit = catch_unwind(AssertUnwindSafe(|| {
-                    // SAFETY: [I15] fresh single-threaded child.
-                    unsafe { mp_bootstrap::<W>(id, *layout, &w as *const W, self.work_divisor) }
+                let seed = (id == 0).then_some(root);
+                // SAFETY: [I15] fresh single-threaded child.
+                let exit = catch_unwind(AssertUnwindSafe(|| unsafe {
+                    mp_bootstrap(id, *layout, seed)
                 }));
                 // Reached only if bootstrap/scheduler panicked.
                 let _ = exit;
@@ -1163,11 +666,7 @@ impl MultiProcessRunner {
 
         // Coordinate: wait for the tree, then stop the workers.
         let mut poll = 0u64;
-        loop {
-            if ctrl.root_done.load(Ordering::Acquire) != 0 && ctrl.live.load(Ordering::Acquire) == 0
-            {
-                break;
-            }
+        while !ctrl.root.all_done() {
             poll += 1;
             if poll.is_multiple_of(200) {
                 // A worker dying early (panic → _exit(101/102), or a
@@ -1193,11 +692,18 @@ impl MultiProcessRunner {
             std::thread::sleep(std::time::Duration::from_micros(50));
         }
         ctrl.shutdown_flag.store(1, Ordering::Release);
-        for &pid in &pids {
-            let mut status = 0;
-            // SAFETY: [I10] blocking reap of our own child.
-            let r = unsafe { libc::waitpid(pid, &mut status, 0) };
-            assert_eq!(r, pid, "waitpid failed");
+        // Reap every worker before judging any of them.
+        let statuses: Vec<i32> = pids
+            .iter()
+            .map(|&pid| {
+                let mut status = 0;
+                // SAFETY: [I10] blocking reap of our own child.
+                let r = unsafe { libc::waitpid(pid, &mut status, 0) };
+                assert_eq!(r, pid, "waitpid failed");
+                status
+            })
+            .collect();
+        for status in statuses {
             assert!(
                 libc::WIFEXITED(status) && libc::WEXITSTATUS(status) == 0,
                 "multiprocess worker exited abnormally (status {status:#x})"
@@ -1240,38 +746,36 @@ impl MultiProcessRunner {
                 .map(|wk| metric_words[wk * MC_STRIDE + c])
                 .sum()
         };
-        let scell_of =
-            |wk: usize, c: usize| cell(layout.stats_cell_addr(wk, c)).load(Ordering::Acquire);
-        let ssum = |c: usize| -> u64 { (0..layout.workers).map(|wk| scell_of(wk, c)).sum() };
-        let fingerprint = (0..layout.workers).fold(0u64, |acc, wk| {
-            acc.wrapping_add(scell_of(wk, SC_FINGERPRINT))
-        });
         let bootstrap_allocs = (0..layout.workers)
             .map(|wk| ctrl.bootstrap_allocs[wk].load(Ordering::Acquire))
             .collect();
-
-        let stats = NativeRunStats {
-            workload,
-            workers: layout.workers as u32,
-            total_tasks: msum(MC_TASKS),
-            total_units: ssum(SC_UNITS),
-            total_work_cycles: ssum(SC_WORK_CYCLES),
-            joins: ssum(SC_JOINS),
-            spawns: ssum(SC_SPAWNS),
-            frame_bytes_total: ssum(SC_FRAME_BYTES),
-            peak_frame_bytes: ctrl.peak_frame_bytes.load(Ordering::Acquire),
-            join_fingerprint: fingerprint,
+        // SAFETY: [I16] the tally rows are inside the live mapping, and
+        // every worker has exited.
+        let tally = unsafe { std::slice::from_raw_parts(layout.tally(), layout.workers + 1) };
+        let sched = crate::runtime::SchedStats {
             steals: msum(MC_STEALS_COMPLETED),
             parks: msum(MC_PARKS),
             unparks: msum(MC_UNPARKS),
-            trace_dropped: 0,
             wall,
         };
         MpReport {
-            stats,
+            stats: NativeRunStats::from_tally(workload, tally, sched),
             bootstrap_allocs,
             metric_words,
         }
+    }
+}
+
+/// Unmaps the region when dropped — on unwind too.
+struct Mapped(usize);
+
+impl Drop for Mapped {
+    fn drop(&mut self) {
+        // SAFETY: [I10] unmapping exactly what map_region mapped; every
+        // worker has been reaped (or killed and reaped), so no process
+        // runs on the pages through us (the memfd itself dies with its
+        // last mapping).
+        unsafe { libc::munmap(MP_BASE as *mut c_void, self.0) };
     }
 }
 
@@ -1319,16 +823,16 @@ fn map_region(total: usize) -> Result<(), String> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use uat_model::testutil::BinTree;
-    use uat_model::{join_tree_fingerprint, sequential_profile};
+    use uat_model::Action;
 
     fn runner(workers: usize) -> MultiProcessRunner {
         MultiProcessRunner::new(workers).with_work_divisor(u64::MAX)
     }
 
-    fn supported() -> bool {
+    pub(crate) fn supported() -> bool {
         match MultiProcessRunner::probe_support() {
             Ok(()) => true,
             Err(e) => {
@@ -1359,52 +863,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bintree_counts_match_sequential_profile() {
-        if !supported() {
-            return;
+    /// A workload whose every non-root task panics.
+    #[derive(Clone)]
+    struct PanicChild;
+
+    impl Workload for PanicChild {
+        type Desc = u32;
+        fn root(&self) -> u32 {
+            0
         }
-        let w = BinTree {
-            depth: 6,
-            work: 1_000,
-            frame: 512,
-        };
-        let p = sequential_profile(&w);
-        for workers in [1usize, 2, 4] {
-            let s = runner(workers).run(w.clone());
-            assert_eq!(s.total_tasks, p.tasks, "workers={workers}");
-            assert_eq!(s.total_units, p.units);
-            assert_eq!(s.total_work_cycles, p.work_cycles);
-            assert_eq!(s.joins, p.joins);
-            assert_eq!(s.spawns, p.spawns);
-            assert_eq!(s.frame_bytes_total, p.frame_bytes_total);
-            assert_eq!(s.join_fingerprint, p.join_fingerprint);
-            assert_eq!(s.join_fingerprint, join_tree_fingerprint(&w));
+        fn program(&self, d: &u32, out: &mut Vec<Action<u32>>) {
+            assert_eq!(*d, 0, "deliberate task panic");
+            out.extend([Action::Spawn(1), Action::JoinAll]);
+        }
+        fn frame_size(&self, _d: &u32) -> u64 {
+            64
+        }
+        fn name(&self) -> String {
+            "panic-child".into()
         }
     }
 
+    /// A run that panics (here: a worker dies of a task panic) unmaps the
+    /// region on its way out, so the next probe and run still work.
     #[test]
-    fn cross_process_steals_happen() {
+    fn panicking_run_unmaps_the_region() {
         if !supported() {
             return;
         }
-        // Real work (undivided) so sibling processes get a window to
-        // steal; a few attempts for slow single-CPU hosts.
-        let mut stole = 0;
-        for _ in 0..3 {
-            let w = BinTree {
-                depth: 9,
-                work: 60_000,
-                frame: 256,
-            };
-            let s = MultiProcessRunner::new(4).run(w);
-            assert_eq!(s.total_tasks, (1 << 10) - 1);
-            stole += s.steals;
-            if stole > 0 {
-                break;
-            }
-        }
-        assert!(stole > 0, "no cross-process steals across 3 runs");
+        let failed = catch_unwind(|| runner(2).run(PanicChild));
+        assert!(failed.is_err(), "a worker's task panic must fail the run");
+        assert_eq!(MultiProcessRunner::probe_support(), Ok(()));
+        let w = BinTree {
+            depth: 4,
+            work: 10,
+            frame: 64,
+        };
+        assert_eq!(runner(2).run(w).total_tasks, 31);
     }
 
     #[test]

@@ -466,7 +466,7 @@ mod real {
     /// watchdog is still armed).
     pub fn sampler_loop(
         ms: &Arc<MetricsShared>,
-        deques: &[Arc<NativeDeque<u64>>],
+        deques: &[NativeDeque<u64>],
         stop: &AtomicBool,
         interval: Duration,
         watchdog: Option<&WatchdogCfg>,

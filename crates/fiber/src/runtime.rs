@@ -1,4 +1,4 @@
-//! A native work-stealing fiber runtime.
+//! The thread placement: a native work-stealing fiber runtime.
 //!
 //! This is the shared-memory degenerate case of the paper's runtime
 //! (Section 2: "In shared memory environment, migrating a task in the
@@ -7,150 +7,80 @@
 //! (task) runs on its own pooled stack (the stack-pool strategy — the
 //! same-stack Figure 4 layout is only sound across *separate* address
 //! spaces, which is exactly the paper's observation), continuations are
-//! [`Context`] records in the THE deques of `uat-deque`, and a steal is
-//! a `resume_context` of somebody else's saved parent.
+//! [`Context`](crate::ctx::Context) records in the THE deques of
+//! `uat-deque`, and a steal is a `resume_context` of somebody else's
+//! saved parent.
 //!
-//! The scheduler is the paper's: child-first on spawn, FIFO stealing,
-//! the Figure 7 join loop (fast-path done-check, else suspend and find
-//! other work).
-//!
-//! # Safety model
-//!
-//! Control transfers never unwind (user closures are `catch_unwind`ed and
-//! a panic aborts). A context is resumed exactly once: the deque hands an
-//! entry to exactly one consumer (THE protocol), and the join waiter slot
-//! is claimed by exactly one CAS winner. A task's stack is retired only
-//! by its own completion and freed only after control has left it (the
-//! `pending_retire` hand-off). Functions passed to
-//! `switch_stack_and_call` and trampolines that claim a continuation
-//! diverge with only `Copy` locals live, so no destructor is skipped.
-//!
-//! **Publication rule [I12]:** a saved continuation is made visible to
-//! other workers (deque push or join-waiter CAS) only from a stack that
-//! is *not* the continuation's own. The `Context` record lives on the
-//! fiber's stack and a thief resumes it by setting `rsp = ctx` — from
-//! that instant every frame below the record (the very trampoline that
-//! saved it) is dead memory the resumed fiber will overwrite. So
-//! `spawn` publishes the parent from the child's fresh stack
-//! (`child_main`), and a parking `join` hands the waiter CAS to the
-//! scheduler loop on the worker's OS stack (`pending_join`). Publishing
-//! from the trampoline itself — the obvious Figure 4 reading — is a
-//! stack-trample race that corrupts spilled locals under steal churn
-//! (debug builds spill everything, making it a near-certain segfault).
+//! The scheduler itself — worker loop, trampolines, completion tail and
+//! join protocol — is [`crate::sched`]'s; this module is its
+//! `Placement` for threads (heap-owned deques, a [`StackPool`] per
+//! worker, the worker reached through TLS, trace and metrics hooks), the
+//! closure API on top — [`Runtime::run`], [`spawn`] and
+//! [`JoinHandle::join`] (Figure 2's `task<T>`/`join`) — and
+//! [`NativeRunner`], which runs a `uat-model` `Workload` through the
+//! scheduler's interpreter and reports the same unit accounting as the
+//! simulator (the basis of the differential harness,
+//! `tests/differential.rs`).
 
-use crate::ctx::{resume_context, save_context_and_call, switch_stack_and_call, Context};
 use crate::nmetrics::{MetricsShared, WorkerMetrics};
-use crate::ntrace::{TraceShared, WorkerTracer};
+#[cfg(feature = "trace")]
+use crate::ntrace::TraceShared;
+use crate::ntrace::WorkerTracer;
+use crate::sched::{self, Env, JoinCell, NativeRunStats, Placement, Prog, TallyRow, Task, Worker};
 use crate::stack::{Stack, StackPool};
+use crate::tsc::RunClock;
 use std::cell::Cell;
-use std::ffi::c_void;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
-use uat_base::SplitMix64;
-use uat_deque::NativeDeque;
+use uat_deque::{NativeDeque, RawDeque, StealPhases};
+use uat_model::Workload;
 
-const WAITER_EMPTY: u64 = 0;
-const WAITER_SEALED: u64 = 1;
-
-/// Join synchronization core: done flag + single waiter slot.
-struct JoinCore {
-    done: AtomicBool,
-    /// 0 = empty, 1 = sealed (child finished), else a `*mut Context`.
-    waiter: AtomicU64,
-    /// Trace-only: task id of the parked waiter, written by the parent
-    /// before publishing its continuation in the waiter slot, read by
-    /// the completing child to name the `JoinReady` edge.
-    #[cfg(feature = "trace")]
-    waiter_task: AtomicU64,
-    /// Trace-only: task id of the child whose completion unparked the
-    /// waiter (0 = the join never blocked), read by the resumed parent
-    /// to name the `JoinResume` edge.
-    #[cfg(feature = "trace")]
-    enabler: AtomicU64,
-}
-
-impl JoinCore {
-    fn new() -> Self {
-        JoinCore {
-            done: AtomicBool::new(false),
-            waiter: AtomicU64::new(WAITER_EMPTY),
-            #[cfg(feature = "trace")]
-            waiter_task: AtomicU64::new(0),
-            #[cfg(feature = "trace")]
-            enabler: AtomicU64::new(0),
-        }
-    }
-}
-
-/// Handle to a spawned thread; [`join`](JoinHandle::join) returns its
-/// result (the `task<T>`/`join` API of Figure 2).
-pub struct JoinHandle<T> {
-    core: Arc<JoinCore>,
-    result: Arc<Mutex<Option<T>>>,
-}
-
-struct Shared {
-    deques: Vec<Arc<NativeDeque<u64>>>,
+/// Run-wide state of one thread run.
+pub(crate) struct Shared {
+    deques: Vec<NativeDeque<u64>>,
     shutdown: AtomicBool,
-    live: AtomicU64,
     /// Run-wide metrics state: sharded scheduler counters (steals,
     /// parks, heartbeats, …), tail-latency histograms, and the flight
     /// rings. With the `metrics` feature off this degrades to the three
     /// plain atomics [`SchedStats`] needs.
     metrics: Arc<MetricsShared>,
-    seed_task: Mutex<Option<Box<Payload>>>,
+    /// The coordinator's join on the root task.
+    root: JoinCell,
     /// Run-wide trace state; `None` = untraced (hooks early-out).
     #[cfg(feature = "trace")]
     trace: Option<Arc<TraceShared>>,
 }
 
-impl Shared {
-    #[inline]
-    fn trace_shared(&self) -> Option<&Arc<TraceShared>> {
-        #[cfg(feature = "trace")]
-        {
-            self.trace.as_ref()
-        }
-        #[cfg(not(feature = "trace"))]
-        {
-            None
-        }
-    }
-}
-
-struct Worker {
-    id: usize,
+/// The thread placement's per-worker state.
+pub(crate) struct Threads {
     shared: Arc<Shared>,
     pool: StackPool,
-    rng: SplitMix64,
-    sched_ctx: *mut Context,
-    pending_retire: Option<Stack>,
-    /// A fiber that wants to park on a join hands `(core, ctx)` to its
-    /// scheduler here; the scheduler performs the waiter CAS from the
-    /// OS stack per [I12] (resuming the fiber immediately if the child
-    /// already sealed the slot). The pointer stays valid until the CAS:
-    /// the suspended fiber's frame holds the `JoinHandle`'s `Arc`.
-    pending_join: Option<(*const JoinCore, u64)>,
-    trace: WorkerTracer,
     metrics: WorkerMetrics,
 }
 
-thread_local! {
-    static CURRENT: Cell<*mut Worker> = const { Cell::new(std::ptr::null_mut()) };
+/// What a thread task owns: its pooled stack, plus (for closure tasks)
+/// the join state its handle shares, kept until after the departure.
+pub(crate) struct ThreadOwn {
+    stack: Stack,
+    keep: Option<Arc<dyn Send + Sync>>,
 }
 
-// `inline(never)` is load-bearing, not a perf tweak: fiber code calls
-// `current()` on *both sides* of a context switch (e.g. before and after
+thread_local! {
+    static CURRENT: Cell<*mut Worker<Threads>> = const { Cell::new(std::ptr::null_mut()) };
+}
+
+// `inline(never)` is load-bearing, not a perf tweak: fiber code looks up
+// its worker on *both sides* of a context switch (e.g. before and after
 // a task body that may suspend), and the resume can happen on a
-// different OS thread. If both calls inline into one function, LLVM
+// different OS thread. If both lookups inline into one function, LLVM
 // treats the thread-local's address as invariant across the opaque
 // switch and CSEs the accesses, handing the resumed code the *previous*
 // thread's Worker — stacks then retire into the wrong pool and the next
 // resume jumps into reused memory. Keeping the TLS access inside a
 // never-inlined callee forces a fresh lookup on the executing thread.
 #[inline(never)]
-fn current() -> *mut Worker {
+fn current() -> *mut Worker<Threads> {
     let w = CURRENT.with(|c| c.get());
     assert!(
         !w.is_null(),
@@ -179,30 +109,97 @@ pub fn current_worker_id() -> usize {
     unsafe { (*w).id }
 }
 
-/// Free the stack retired by the previously completed thread, if any.
-/// Must run at every point control can land after a completion.
-#[inline]
-fn collect_retired() {
-    let w = current();
-    // SAFETY: [I7] only the owning OS thread touches its Worker, and no other
-    // borrow is live across this call.
-    let w = unsafe { &mut *w };
-    if let Some(s) = w.pending_retire.take() {
-        w.pool.put(s);
+impl Placement for Threads {
+    type Own = ThreadOwn;
+
+    fn worker() -> *mut Worker<Threads> {
+        current()
+    }
+
+    fn workers(&self) -> usize {
+        self.shared.deques.len()
+    }
+
+    fn deque(&self, v: usize) -> &RawDeque<u64> {
+        &self.shared.deques[v]
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.shared.shutdown.load(Ordering::Acquire)
+    }
+
+    fn alloc(&mut self) -> (ThreadOwn, *mut u8) {
+        let stack = self.pool.take();
+        let top = stack.top();
+        (ThreadOwn { stack, keep: None }, top)
+    }
+
+    fn free(&mut self, own: ThreadOwn) {
+        self.pool.put(own.stack);
+    }
+
+    fn task_panicked() -> ! {
+        // Mirror the paper's C++ runtime and die loudly.
+        eprintln!("uat-fiber: task panicked; aborting");
+        std::process::abort();
+    }
+
+    fn clock(&self) -> Option<RunClock> {
+        self.metrics.clock()
+    }
+
+    fn on_steal(&mut self, victim: usize, ok: bool, phases: Option<&StealPhases>) {
+        match phases {
+            Some(ph) => self.metrics.on_steal_phased(victim, ok, ph),
+            None => self.metrics.on_steal_untimed(ok),
+        }
+    }
+
+    fn on_loop(&mut self) {
+        // Heartbeat: one epoch per scheduler-loop iteration. Parked
+        // workers iterate every sleep cycle, so only a wedged (or
+        // task-monopolized) worker's epoch ever freezes.
+        self.metrics.on_loop();
+    }
+
+    fn on_park(&mut self) {
+        self.metrics.on_park();
+    }
+
+    fn on_unpark(&mut self) {
+        self.metrics.on_unpark();
+    }
+
+    fn on_task_begin(&mut self) -> u64 {
+        self.metrics.on_task_begin()
+    }
+
+    fn on_task_end(&mut self, born: u64) {
+        self.metrics.on_task_end(born);
     }
 }
 
-struct Payload {
-    body: Option<Box<dyn FnOnce() + Send>>,
-    core: Arc<JoinCore>,
-    stack: Option<Stack>,
-    /// Trace task id (0 when the run is untraced).
-    task_id: u64,
-    /// The spawner's saved continuation (`*mut Context` as u64), written
-    /// by `spawn_tramp` on the way into the child and published by
-    /// `child_main` from the child's stack per [I12]. 0 for the root
-    /// task (no continuation to publish).
-    parent_ctx: u64,
+/// Record data of a closure task.
+struct Closure(Box<dyn FnOnce() + Send>);
+
+/// The body of a closure task.
+unsafe fn run_closure(task: *mut Task<Threads>) {
+    // SAFETY: [I8] closure tasks are made with `Closure` data, taken
+    // exactly once, here.
+    let Closure(f) = unsafe { sched::take_data::<Threads, Closure>(task) };
+    f();
+}
+
+/// What a closure task and its [`JoinHandle`] share.
+struct Joined<T> {
+    cell: JoinCell,
+    result: Mutex<Option<T>>,
+}
+
+/// Handle to a spawned thread; [`join`](JoinHandle::join) returns its
+/// result (the `task<T>`/`join` API of Figure 2).
+pub struct JoinHandle<T> {
+    joined: Arc<Joined<T>>,
 }
 
 /// Spawn a thread running `f`, child-first: `f` starts immediately on a
@@ -215,259 +212,45 @@ where
     T: Send + 'static,
     F: FnOnce() -> T + Send + 'static,
 {
-    let core = Arc::new(JoinCore::new());
-    let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-    let r2 = Arc::clone(&result);
-    let body: Box<dyn FnOnce() + Send> = Box::new(move || {
-        *r2.lock().unwrap() = Some(f());
+    let joined = Arc::new(Joined {
+        cell: JoinCell::new(),
+        result: Mutex::new(None),
     });
-    let w = current();
-    // SAFETY: [I7] exclusive access by the owning thread; short borrow.
-    let (stack, task_id) = unsafe {
-        let wr = &mut *w;
-        let stack = wr.pool.take();
-        // Trace: close the parent's Work slice, open Spawn, allocate
-        // and announce the child id (0 when untraced).
-        let task_id = wr.trace.on_spawn();
-        (stack, task_id)
-    };
-    let payload = Box::new(Payload {
-        body: Some(body),
-        core: Arc::clone(&core),
-        stack: Some(stack),
-        task_id,
-        parent_ctx: 0,
-    });
-    // SAFETY: [I8] shared is alive for the runtime's duration; the reference
-    // is dropped before the context switch below.
-    unsafe {
-        let wr = &*w;
-        wr.shared.live.fetch_add(1, Ordering::AcqRel);
-    }
-    // SAFETY: [I5] spawn_tramp never returns normally; the continuation saved
-    // here is resumed exactly once (by the child's pop or by a thief).
-    unsafe {
-        save_context_and_call(
-            std::ptr::null_mut(),
-            spawn_tramp,
-            Box::into_raw(payload) as *mut c_void,
-        );
-    }
-    // Resumed — possibly on a different worker thread.
-    collect_retired();
-    // SAFETY: [I7] exclusive worker access; scoped borrow.
-    unsafe {
-        (*current()).trace.on_resumed();
-    }
-    JoinHandle { core, result }
-}
-
-unsafe extern "C" fn spawn_tramp(ctx: *mut Context, arg: *mut c_void) {
-    // [I12]: do NOT publish `ctx` here — this frame lives on the very
-    // stack `ctx` points into, and a thief resuming the continuation
-    // would overwrite it while we still execute. Stash the continuation
-    // in the payload (heap) and leave this stack first; `child_main`
-    // publishes it from the child's fresh stack.
-    // SAFETY: [I8] the payload is exclusively ours until child_main takes
-    // ownership; the borrow ends before the stack switch.
-    let top = unsafe {
-        let payload = &mut *(arg as *mut Payload);
-        payload.parent_ctx = ctx as u64;
-        payload
-            .stack
-            .as_ref()
-            .expect("stack present at start")
-            .top()
-    };
-    // SAFETY: [I6][I9] fresh pooled stack; child_main diverges.
-    unsafe { switch_stack_and_call(top, child_main, arg) }
-}
-
-unsafe extern "C" fn child_main(arg: *mut c_void) -> ! {
-    {
-        // SAFETY: [I8] sole owner of the payload from here.
-        let mut payload = unsafe { Box::from_raw(arg as *mut Payload) };
-        let body = payload.body.take().expect("body present");
-        let task = payload.task_id;
-        // Push the parent thread's continuation: stealable from now on.
-        // Safe here per [I12] — we run on the child's fresh stack, and
-        // every parent-stack frame below the record is already dead.
-        if payload.parent_ctx != 0 {
-            // SAFETY: [I5][I7] worker structures outlive all tasks;
-            // scoped borrow on the owning thread.
-            unsafe {
-                let wr = &mut *current();
-                // Trace: register the continuation *before* the push
-                // makes it stealable, so a thief's commit always finds
-                // the publication. `cur_task` is still the parent's id:
-                // `on_task_begin` below is what makes the child current.
-                let parent = wr.trace.cur_task();
-                wr.trace.on_publish(payload.parent_ctx, parent);
-                wr.shared.deques[wr.id].push(payload.parent_ctx);
-            }
-        }
-        // Trace/metrics: the fiber body starts here; the begin stamps are
-        // Copy locals so they survive any migration of this stack between
-        // workers.
-        // SAFETY: [I7] exclusive worker access on this thread; scoped borrow.
-        let (born, mborn) = unsafe {
-            let wr = &mut *current();
-            (wr.trace.on_task_begin(task), wr.metrics.on_task_begin())
-        };
-        if std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).is_err() {
-            // Unwinding across a context switch is UB; mirror the paper's
-            // C++ runtime and die loudly.
-            eprintln!("uat-fiber: task panicked; aborting");
-            std::process::abort();
-        }
-        let w = current();
-        // Retire our own stack; freed once control is off it.
-        // SAFETY: [I6][I7] exclusive worker access on this thread; the borrow is
-        // scoped to this block.
-        unsafe {
-            let wr = &mut *w;
-            debug_assert!(wr.pending_retire.is_none());
-            wr.pending_retire = payload.stack.take();
-            wr.trace.on_task_end(task, born);
-            wr.metrics.on_task_end(mborn);
-        }
-        // Thread exit: publish the result, wake a waiter if one parked.
-        payload.core.done.store(true, Ordering::Release);
-        let prev = payload.core.waiter.swap(WAITER_SEALED, Ordering::AcqRel);
-        if prev > WAITER_SEALED {
-            // Trace: name the join edge and register the waiter's
-            // continuation *before* the push makes it stealable.
-            #[cfg(feature = "trace")]
-            // SAFETY: [I7] exclusive worker access on this thread.
-            unsafe {
-                let wr = &mut *w;
-                if wr.trace.enabled() {
-                    let parent = payload.core.waiter_task.load(Ordering::Acquire);
-                    payload.core.enabler.store(task, Ordering::Release);
-                    wr.trace.on_join_ready(parent);
-                    wr.trace.on_publish(prev, parent);
-                }
-            }
-            // SAFETY: [I5] prev is a parked continuation, claimed exactly here;
-            // pushing it makes it runnable (and stealable).
-            unsafe {
-                let wr = &*w;
-                wr.shared.deques[wr.id].push(prev);
-            }
-        }
-        // SAFETY: [I7][I8] w points at this worker's thread-local Worker, alive
-        // for the whole worker loop.
-        unsafe {
-            let wr = &*w;
-            wr.shared.live.fetch_sub(1, Ordering::AcqRel);
-        }
-    } // payload fully dropped before we abandon this stack
-    let w = current();
-    // Figure 4 lines 13-15: pop the parent continuation; if stolen, go
-    // to the scheduler.
-    // SAFETY: [I5][I7] worker alive; contexts in the deque are live by protocol.
-    let target = unsafe {
-        let wr = &mut *w;
-        match wr.shared.deques[wr.id].pop() {
-            Some(c) => {
-                wr.trace.on_local_pop(c);
-                c as *mut Context
-            }
-            None => wr.sched_ctx,
-        }
-    };
-    // SAFETY: [I5] target is resumed exactly once; only Copy locals live here.
-    unsafe { resume_context(target) }
+    let j2 = Arc::clone(&joined);
+    let body = Closure(Box::new(move || *j2.result.lock().unwrap() = Some(f())));
+    // SAFETY: [I7] scoped borrow of this thread's worker.
+    let (mut own, top) = unsafe { (*current()).place.alloc() };
+    // The handle may be dropped unjoined: the task keeps the cell alive
+    // until after it departs.
+    own.keep = Some(joined.clone());
+    sched::spawn::<Threads, Closure>(&joined.cell, own, top, run_closure, body);
+    JoinHandle { joined }
 }
 
 impl<T> JoinHandle<T> {
     /// Wait for the thread to exit and take its result (Figure 7's
-    /// `join`): fast path is one done-flag load; otherwise the caller
-    /// suspends and the worker finds other work.
+    /// `join`): fast path is one load; otherwise the caller suspends and
+    /// the worker finds other work.
     pub fn join(self) -> T {
-        if !self.core.done.load(Ordering::Acquire) {
-            let core_ptr: *const JoinCore = &*self.core;
-            // Trace: charge the park attempt to the suspend bucket.
-            // SAFETY: [I7] exclusive worker access on this thread.
-            unsafe {
-                (*current()).trace.on_suspend();
-            }
-            // SAFETY: [I5] join_tramp either parks this continuation (resumed
-            // exactly once by the completer) or resumes it inline.
-            unsafe {
-                save_context_and_call(std::ptr::null_mut(), join_tramp, core_ptr as *mut c_void);
-            }
-            collect_retired();
-            // Trace: name the resume edge if the join actually parked
-            // (the child that sealed the slot recorded itself as the
-            // enabler); an inline resume just reopens the work slice.
-            #[cfg(feature = "trace")]
-            // SAFETY: [I7] exclusive worker access on this (possibly new)
-            // thread.
-            unsafe {
-                let wr = &mut *current();
-                if wr.trace.enabled() {
-                    let child = self.core.enabler.load(Ordering::Acquire);
-                    if child != 0 {
-                        wr.trace.on_join_resume(child);
-                    } else {
-                        wr.trace.on_resumed();
-                    }
-                }
-            }
-            debug_assert!(self.core.done.load(Ordering::Acquire));
-        }
+        sched::join::<Threads>(&self.joined.cell);
         let out = self
+            .joined
             .result
             .lock()
             .unwrap()
             .take()
-            .expect("task set its result before publishing done");
+            .expect("task set its result before departing");
         out
     }
 
     /// Whether the thread has exited (non-blocking `try_join`).
     pub fn is_done(&self) -> bool {
-        self.core.done.load(Ordering::Acquire)
+        self.joined.cell.all_done()
     }
-}
-
-unsafe extern "C" fn join_tramp(ctx: *mut Context, arg: *mut c_void) {
-    let core = arg as *const JoinCore;
-    // Trace: record who is about to park *before* the CAS can expose the
-    // slot to the completing child (which reads it to name `JoinReady`).
-    #[cfg(feature = "trace")]
-    // SAFETY: [I7][I8] core outlives the join; exclusive worker access.
-    unsafe {
-        let wr = &mut *current();
-        if wr.trace.enabled() {
-            (*core)
-                .waiter_task
-                .store(wr.trace.cur_task(), Ordering::Release);
-        }
-    }
-    // [I12]: the waiter CAS publishes `ctx` — the completing child can
-    // push it and a thief can resume it the next instant, overwriting
-    // this very frame (it lives on `ctx`'s stack). So don't CAS here:
-    // hand the park to the scheduler, which runs on the worker's OS
-    // stack. Until the scheduler's CAS, `ctx` is invisible to every
-    // other thread, so this stack is still private.
-    let w = current();
-    // SAFETY: [I7] exclusive worker access; the borrow ends before the
-    // resume below.
-    let sched = unsafe {
-        let wr = &mut *w;
-        debug_assert!(wr.pending_join.is_none());
-        wr.pending_join = Some((core, ctx as u64));
-        wr.sched_ctx
-    };
-    // SAFETY: [I5] the scheduler context is parked in its loop and is
-    // resumed exactly once per lineage; only Copy locals are live here.
-    unsafe { resume_context(sched) }
 }
 
 /// The multi-worker runtime.
-#[derive(Clone)]
+#[derive(Clone, Debug)]
 pub struct Runtime {
     nworkers: usize,
     stack_size: usize,
@@ -511,6 +294,11 @@ impl Runtime {
             #[cfg(feature = "metrics")]
             sabotage: None,
         }
+    }
+
+    /// Number of worker threads.
+    pub(crate) fn workers(&self) -> usize {
+        self.nworkers
     }
 
     /// Override the per-task stack size (default 128 KiB).
@@ -584,15 +372,15 @@ impl Runtime {
     }
 
     /// Like [`run`](Self::run), additionally reporting scheduler-level
-    /// counters for the run (used by the native workload interpreter's
-    /// stats; mirrors the sim engine's `RunStats` steal accounting).
+    /// counters for the run (mirrors the sim engine's `RunStats` steal
+    /// accounting).
     pub fn run_counted<T, F>(&self, root: F) -> (T, SchedStats)
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let (out, sched, _shared) = self.run_core(root);
-        (out, sched)
+        let (out, ran) = self.run_closure(root);
+        (out, ran.sched)
     }
 
     /// Like [`run_counted`](Self::run_counted) with tracing forced on
@@ -604,14 +392,8 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        let mut rt = self.clone();
-        rt.trace_rings = Some(
-            self.trace_rings
-                .unwrap_or(crate::ntrace::DEFAULT_RING_CAPACITY),
-        );
-        let (out, sched, shared) = rt.run_core(root);
-        let trace = crate::ntrace::finalize(shared.trace.as_ref().expect("tracing enabled"));
-        (out, sched, trace)
+        let (out, ran) = self.traced().run_closure(root);
+        (out, ran.sched, ran.trace())
     }
 
     /// Like [`run_counted`](Self::run_counted) with the timed metrics
@@ -623,21 +405,48 @@ impl Runtime {
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
+        let (out, ran) = self.metered().run_closure(root);
+        (out, ran.sched, ran.snapshot())
+    }
+
+    /// This runtime with tracing on (at the configured or default ring
+    /// capacity).
+    #[cfg(feature = "trace")]
+    pub(crate) fn traced(&self) -> Runtime {
+        let mut rt = self.clone();
+        rt.trace_rings = Some(
+            self.trace_rings
+                .unwrap_or(crate::ntrace::DEFAULT_RING_CAPACITY),
+        );
+        rt
+    }
+
+    /// This runtime with the timed metrics tier on.
+    #[cfg(feature = "metrics")]
+    pub(crate) fn metered(&self) -> Runtime {
         let mut rt = self.clone();
         rt.metered = true;
         if rt.registry.is_none() {
             rt.registry = Some(Arc::new(uat_metrics::Registry::new(self.nworkers)));
         }
-        let (out, sched, shared) = rt.run_core(root);
-        let snapshot = shared.metrics.registry.snapshot();
-        (out, sched, snapshot)
+        rt
     }
 
-    fn run_core<T, F>(&self, root: F) -> (T, SchedStats, Arc<Shared>)
+    fn run_closure<T, F>(&self, root: F) -> (T, Ran)
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
+        let result = Arc::new(Mutex::new(None));
+        let r2 = Arc::clone(&result);
+        let body = Closure(Box::new(move || *r2.lock().unwrap() = Some(root())));
+        let ran = self.run_task(run_closure, body);
+        let out = result.lock().unwrap().take().expect("root set its result");
+        (out, ran)
+    }
+
+    /// Run a root task made of `body` and `data` to completion.
+    pub(crate) fn run_task<X: Send>(&self, body: unsafe fn(*mut Task<Threads>), data: X) -> Ran {
         #[cfg(feature = "trace")]
         let trace = self
             .trace_rings
@@ -652,23 +461,14 @@ impl Runtime {
         #[cfg(not(feature = "metrics"))]
         let metrics = Arc::new(MetricsShared::new());
         let shared = Arc::new(Shared {
-            deques: (0..self.nworkers)
-                .map(|_| Arc::new(NativeDeque::new(8192)))
-                .collect(),
+            deques: (0..self.nworkers).map(|_| NativeDeque::new(8192)).collect(),
             shutdown: AtomicBool::new(false),
-            live: AtomicU64::new(1), // the root
             metrics,
-            seed_task: Mutex::new(None),
+            root: JoinCell::new(),
             #[cfg(feature = "trace")]
             trace,
         });
 
-        let core = Arc::new(JoinCore::new());
-        let result: Arc<Mutex<Option<T>>> = Arc::new(Mutex::new(None));
-        let r2 = Arc::clone(&result);
-        let body: Box<dyn FnOnce() + Send> = Box::new(move || {
-            *r2.lock().unwrap() = Some(root());
-        });
         let root_task = {
             #[cfg(feature = "trace")]
             {
@@ -679,22 +479,25 @@ impl Runtime {
                 0
             }
         };
-        *shared.seed_task.lock().unwrap() = Some(Box::new(Payload {
-            body: Some(body),
-            core: Arc::clone(&core),
-            stack: Some(Stack::new(self.stack_size)),
-            task_id: root_task,
-            parent_ctx: 0,
-        }));
+        shared.root.add_child();
+        let stack = Stack::new(self.stack_size);
+        let top = stack.top();
+        let own = ThreadOwn { stack, keep: None };
+        // SAFETY: [I6][I8] a fresh stack; the root cell lives in
+        // `shared`, which outlives every worker.
+        let root = unsafe { sched::new_task(own, top, &shared.root, root_task, body, data) };
+        let mut root = Some(SendTask(root));
 
         let t0 = std::time::Instant::now();
         let handles: Vec<_> = (0..self.nworkers)
             .map(|id| {
                 let shared = Arc::clone(&shared);
                 let stack_size = self.stack_size;
+                // Worker 0 seeds the root task.
+                let root = root.take();
                 std::thread::Builder::new()
                     .name(format!("uat-worker-{id}"))
-                    .spawn(move || worker_loop(id, &shared, stack_size))
+                    .spawn(move || thread_main(id, &shared, stack_size, root))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -704,8 +507,7 @@ impl Runtime {
         #[cfg(feature = "metrics")]
         let sampler = (self.sampler.is_some() || self.watchdog.is_some()).then(|| {
             let stop = Arc::new(AtomicBool::new(false));
-            let ms = Arc::clone(&shared.metrics);
-            let deques = shared.deques.clone();
+            let shared = Arc::clone(&shared);
             let interval = self
                 .sampler
                 .unwrap_or(crate::nmetrics::DEFAULT_SAMPLE_INTERVAL);
@@ -715,8 +517,8 @@ impl Runtime {
                 .name("uat-sampler".into())
                 .spawn(move || {
                     crate::nmetrics::sampler_loop(
-                        &ms,
-                        &deques,
+                        &shared.metrics,
+                        &shared.deques,
                         &stop2,
                         interval,
                         watchdog.as_ref(),
@@ -726,11 +528,10 @@ impl Runtime {
             (stop, handle)
         });
 
-        // Wait for the root to finish, then for stragglers, then stop.
-        while !core.done.load(Ordering::Acquire) {
-            std::thread::sleep(std::time::Duration::from_micros(50));
-        }
-        while shared.live.load(Ordering::Acquire) != 0 {
+        // Wait for the root to finish, then stop. A worker leaves its
+        // loop only with its own deque empty, so joining the workers
+        // also waits out every straggler (an unjoined task included).
+        while !shared.root.all_done() {
             std::thread::sleep(std::time::Duration::from_micros(50));
         }
         // Disarm the sampler *before* the shutdown flag: workers stop
@@ -756,14 +557,34 @@ impl Runtime {
                 }
             }
         }
-        let out = result.lock().unwrap().take().expect("root set its result");
         let sched = SchedStats {
             steals: shared.metrics.steals_total(),
             parks: shared.metrics.parks_total(),
             unparks: shared.metrics.unparks_total(),
             wall,
         };
-        (out, sched, shared)
+        Ran { sched, shared }
+    }
+}
+
+/// What a finished run leaves besides the root's result.
+#[cfg_attr(not(any(feature = "trace", feature = "metrics")), allow(dead_code))]
+pub(crate) struct Ran {
+    pub(crate) sched: SchedStats,
+    shared: Arc<Shared>,
+}
+
+impl Ran {
+    /// The run's finalized trace (the runtime must have been traced).
+    #[cfg(feature = "trace")]
+    pub(crate) fn trace(&self) -> crate::ntrace::NativeTrace {
+        crate::ntrace::finalize(self.shared.trace.as_ref().expect("tracing enabled"))
+    }
+
+    /// The run's metrics snapshot.
+    #[cfg(feature = "metrics")]
+    pub(crate) fn snapshot(&self) -> uat_metrics::Snapshot {
+        self.shared.metrics.registry.snapshot()
     }
 }
 
@@ -783,218 +604,184 @@ pub struct SchedStats {
     pub wall: std::time::Duration,
 }
 
-fn worker_loop(id: usize, shared: &Arc<Shared>, stack_size: usize) {
-    let mut worker = Worker {
-        id,
-        shared: Arc::clone(shared),
-        pool: StackPool::new(stack_size),
-        rng: SplitMix64::new(0x5EED ^ id as u64),
-        sched_ctx: std::ptr::null_mut(),
-        pending_retire: None,
-        pending_join: None,
-        trace: WorkerTracer::new(shared.trace_shared(), id),
-        metrics: WorkerMetrics::new(&shared.metrics, id),
-    };
-    let w: *mut Worker = &mut worker;
-    CURRENT.with(|c| c.set(w));
+/// The root task on its way to worker 0.
+struct SendTask(*mut Task<Threads>);
 
-    // Watchdog-test sabotage: stay alive (so the run is otherwise
-    // healthy) but never enter the scheduler loop, so this worker's
-    // heartbeat epoch stays frozen while every other worker advances.
+// SAFETY: [I8] the record is handed to exactly one worker thread and its
+// data was required `Send` by `run_task`.
+unsafe impl Send for SendTask {}
+
+fn thread_main(id: usize, shared: &Arc<Shared>, stack_size: usize, root: Option<SendTask>) {
+    #[cfg(feature = "trace")]
+    let trace = WorkerTracer::new(shared.trace.as_ref(), id);
+    #[cfg(not(feature = "trace"))]
+    let trace = WorkerTracer::new(None, id);
+    let place = Threads {
+        pool: StackPool::new(stack_size),
+        metrics: WorkerMetrics::new(&shared.metrics, id),
+        shared: Arc::clone(shared),
+    };
+    let mut worker = Worker::new(id, place, trace);
+    let w: *mut Worker<Threads> = &mut worker;
+    CURRENT.with(|c| c.set(w));
     if shared.metrics.is_sabotaged(id) {
+        // Watchdog-test sabotage: stay alive (so the run is otherwise
+        // healthy) but never enter the scheduler loop, so this worker's
+        // heartbeat epoch stays frozen while every other worker
+        // advances.
         while !shared.shutdown.load(Ordering::Acquire) {
             std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        // SAFETY: [I7] exclusive worker access on this thread.
-        unsafe {
-            (*w).trace.finish();
-        }
-        CURRENT.with(|c| c.set(std::ptr::null_mut()));
-        return;
-    }
-
-    // Worker 0 seeds the root task.
-    if id == 0 {
-        let payload = shared
-            .seed_task
-            .lock()
-            .unwrap()
-            .take()
-            .expect("seed present");
-        run_fresh(payload);
-    }
-
-    let n = shared.deques.len();
-    let mut idle_spins = 0u32;
-    let mut parked = false;
-    loop {
-        collect_retired();
-        // SAFETY: [I7] exclusive worker access on this thread (each borrow
-        // below is scoped to its statement).
-        unsafe {
-            // Heartbeat: one epoch per scheduler-loop iteration. Parked
-            // workers iterate every sleep cycle, so only a wedged (or
-            // task-monopolized) worker's epoch ever freezes.
-            (*w).metrics.on_loop();
-        }
-        // Scheduler-side join park [I12]: a fiber that suspended on a
-        // join handed us its (core, ctx); publish the waiter CAS from
-        // this OS stack. If the child sealed the slot first, the fiber
-        // never really parked — continue it right away.
-        // SAFETY: [I7] exclusive worker access; scoped borrow.
-        if let Some((core, ctx)) = unsafe { (*w).pending_join.take() } {
-            // SAFETY: [I8] the suspended fiber's frame holds the
-            // JoinHandle's Arc, keeping `core` alive until this CAS
-            // decides whether it parks or resumes.
-            let parked_now = unsafe {
-                (*core)
-                    .waiter
-                    .compare_exchange(WAITER_EMPTY, ctx, Ordering::AcqRel, Ordering::Acquire)
-                    .is_ok()
-            };
-            if !parked_now {
-                idle_spins = 0;
-                run_ctx(ctx as *mut Context);
-                continue;
-            }
-        }
-        // SAFETY: [I7] as above.
-        unsafe {
-            (*w).trace.on_idle();
-        }
-        // Own deque first (ready waiters and un-stolen parents)...
-        let target = shared.deques[id]
-            .pop()
-            .inspect(|&c| {
-                // SAFETY: [I7] as above.
-                unsafe {
-                    (*w).trace.on_local_pop(c);
-                }
-            })
-            .or_else(|| {
-                // ...then random stealing.
-                if n == 1 {
-                    return None;
-                }
-                // SAFETY: [I7] as above.
-                let mut v = unsafe { (*w).rng.below(n as u64 - 1) as usize };
-                if v >= id {
-                    v += 1;
-                }
-                // Traced and metered runs take the phase-stamped steal
-                // so lock/entry time lands in the right buckets and the
-                // latency histogram; plain runs keep the bare protocol
-                // with counter-only accounting.
-                // SAFETY: [I7] as above.
-                let clk = unsafe { (*w).trace.clock().or_else(|| (*w).metrics.clock()) };
-                match clk {
-                    Some(clk) => {
-                        let (got, ph) = shared.deques[v].steal_phased(|| clk.now_cycles());
-                        // SAFETY: [I7] as above.
-                        unsafe {
-                            (*w).trace.on_steal_attempt(v, got, &ph);
-                            (*w).metrics.on_steal_phased(v, got.is_some(), &ph);
-                        }
-                        got
-                    }
-                    None => {
-                        let got = shared.deques[v].steal();
-                        // SAFETY: [I7] as above.
-                        unsafe {
-                            (*w).metrics.on_steal_untimed(got.is_some());
-                        }
-                        got
-                    }
-                }
-            });
-        match target {
-            Some(ctx) => {
-                idle_spins = 0;
-                if parked {
-                    parked = false;
-                    // SAFETY: [I7] as above.
-                    unsafe {
-                        (*w).trace.on_unpark();
-                        (*w).metrics.on_unpark();
-                    }
-                }
-                run_ctx(ctx as *mut Context);
-            }
-            None => {
-                if shared.shutdown.load(Ordering::Acquire) {
-                    break;
-                }
-                idle_spins = idle_spins.saturating_add(1);
-                if idle_spins > 64 {
-                    if !parked {
-                        parked = true;
-                        // SAFETY: [I7] as above.
-                        unsafe {
-                            (*w).trace.on_park();
-                            (*w).metrics.on_park();
-                        }
-                    }
-                    std::thread::sleep(std::time::Duration::from_micros(20));
-                } else {
-                    std::thread::yield_now();
-                }
-            }
-        }
+    } else {
+        sched::worker_loop::<Threads>(root.map(|r| r.0));
     }
     // Deposit this worker's timeline (no-op when untraced).
-    // SAFETY: [I7] as above.
-    unsafe {
-        (*w).trace.finish();
-    }
+    // SAFETY: [I7] exclusive worker access on this thread; the loop has
+    // returned, so no fiber holds a borrow.
+    unsafe { (*w).trace.finish() };
     CURRENT.with(|c| c.set(std::ptr::null_mut()));
 }
 
-/// Run a ready continuation, saving the scheduler's own context so tasks
-/// can bail back to this loop.
-fn run_ctx(target: *mut Context) {
-    // SAFETY: [I5] run_tramp diverges into `target`; the saved scheduler
-    // context is resumed exactly once (by whichever task runs out of
-    // local work on this worker).
-    unsafe {
-        save_context_and_call(std::ptr::null_mut(), run_tramp, target as *mut c_void);
-    }
-    collect_retired();
+/// Driver that runs any [`Workload`] on the native fiber runtime.
+#[derive(Clone, Debug)]
+pub struct NativeRunner {
+    /// The runtime every run is configured from.
+    rt: Runtime,
+    work_divisor: u64,
+    /// Per-worker event-ring capacity for [`run_traced`]
+    /// (`None` = the runtime default).
+    ///
+    /// [`run_traced`]: Self::run_traced
+    #[cfg(feature = "trace")]
+    ring_capacity: Option<usize>,
 }
 
-unsafe extern "C" fn run_tramp(sched_ctx: *mut Context, arg: *mut c_void) {
-    let w = current();
-    // SAFETY: [I7] exclusive worker access; borrow scoped.
-    unsafe {
-        (&mut *w).sched_ctx = sched_ctx;
+impl NativeRunner {
+    /// A runner with `workers` OS-thread workers.
+    pub fn new(workers: usize) -> Self {
+        NativeRunner {
+            rt: Runtime::new(workers),
+            work_divisor: 1,
+            #[cfg(feature = "trace")]
+            ring_capacity: None,
+        }
     }
-    // SAFETY: [I5] arg is a live continuation handed to us by the deque.
-    unsafe { resume_context(arg as *mut Context) }
-}
 
-/// Start a brand-new thread (no saved context yet) from the scheduler.
-fn run_fresh(payload: Box<Payload>) {
-    // SAFETY: [I5] fresh_tramp diverges into the task; scheduler context saved
-    // as in run_ctx.
-    unsafe {
-        save_context_and_call(
-            std::ptr::null_mut(),
-            fresh_tramp,
-            Box::into_raw(payload) as *mut c_void,
-        );
+    /// Override the per-worker event-ring capacity used by
+    /// [`run_traced`](Self::run_traced).
+    #[cfg(feature = "trace")]
+    pub fn with_tracing(mut self, ring_capacity: usize) -> Self {
+        self.ring_capacity = Some(ring_capacity);
+        self
     }
-    collect_retired();
-}
 
-unsafe extern "C" fn fresh_tramp(sched_ctx: *mut Context, arg: *mut c_void) {
-    let w = current();
-    // SAFETY: [I7][I8] exclusive worker access; stack/top live in the payload.
-    let top = unsafe {
-        (&mut *w).sched_ctx = sched_ctx;
-        let payload = &*(arg as *mut Payload);
-        payload.stack.as_ref().expect("stack present").top()
-    };
-    // SAFETY: [I6][I9] fresh stack, child_main diverges.
-    unsafe { switch_stack_and_call(top, child_main, arg) }
+    /// Record runs into `registry` (built for at least `workers`
+    /// shards) with the timed metrics tier on; snapshot it afterwards.
+    /// Composes with any run method, [`run_traced`](Self::run_traced)
+    /// included.
+    #[cfg(feature = "metrics")]
+    pub fn with_metrics(mut self, registry: Arc<uat_metrics::Registry>) -> Self {
+        self.rt = self.rt.with_metrics(registry);
+        self
+    }
+
+    /// Start a deque-depth sampler thread on every run, ticking each
+    /// `interval`. Implies the timed metrics tier.
+    #[cfg(feature = "metrics")]
+    pub fn with_sampler(mut self, interval: std::time::Duration) -> Self {
+        self.rt = self.rt.with_sampler(interval);
+        self
+    }
+
+    /// Arm the heartbeat stall watchdog on every run (implies a sampler
+    /// at the default interval unless one is configured).
+    #[cfg(feature = "metrics")]
+    pub fn with_watchdog(mut self, cfg: crate::nmetrics::WatchdogCfg) -> Self {
+        self.rt = self.rt.with_watchdog(cfg);
+        self
+    }
+
+    /// Override the per-task stack size (default 128 KiB). Must exceed
+    /// the workload's largest `frame_size` with room for the
+    /// interpreter's own frames.
+    pub fn with_stack_size(mut self, bytes: usize) -> Self {
+        self.rt = self.rt.with_stack_size(bytes);
+        self
+    }
+
+    /// Divide every `Work(c)` spin by `div` (accounting still records
+    /// the full `c`). Differential tests compare task expansion, not
+    /// timing, so they use a large divisor to skip the spinning.
+    pub fn with_work_divisor(mut self, div: u64) -> Self {
+        assert!(div >= 1, "work divisor must be at least 1");
+        self.work_divisor = div;
+        self
+    }
+
+    /// Run `w` on `rt`, the root task interpreting `w.root()`.
+    fn run_on<W>(&self, rt: &Runtime, w: W) -> (NativeRunStats, Ran)
+    where
+        W: Workload + Send + Sync + 'static,
+        W::Desc: 'static,
+    {
+        let workload = w.name();
+        let tally: Vec<TallyRow> = (0..=rt.workers()).map(|_| TallyRow::default()).collect();
+        let env = Env {
+            w,
+            divisor: self.work_divisor,
+            tally: tally.as_ptr(),
+        };
+        let root = Prog {
+            env: &env,
+            desc: env.w.root(),
+        };
+        let ran = rt.run_task(sched::exec::<_, W>, root);
+        (NativeRunStats::from_tally(workload, &tally, ran.sched), ran)
+    }
+
+    /// Run `w` to completion on real fibers and report its accounting.
+    pub fn run<W>(&self, w: W) -> NativeRunStats
+    where
+        W: Workload + Send + Sync + 'static,
+        W::Desc: 'static,
+    {
+        self.run_on(&self.rt, w).0
+    }
+
+    /// Like [`run`](Self::run) with the timed metrics tier forced on,
+    /// additionally returning the run's metrics snapshot (sharded
+    /// scheduler counters plus steal-latency / task-run /
+    /// park-duration histograms).
+    #[cfg(feature = "metrics")]
+    pub fn run_metered<W>(&self, w: W) -> (NativeRunStats, uat_metrics::Snapshot)
+    where
+        W: Workload + Send + Sync + 'static,
+        W::Desc: 'static,
+    {
+        let (stats, ran) = self.run_on(&self.rt.metered(), w);
+        (stats, ran.snapshot())
+    }
+
+    /// Like [`run`](Self::run) with per-worker event tracing on,
+    /// additionally returning the finalized [`NativeTrace`]
+    /// (exportable `TraceData` + per-worker bucket accounts).
+    ///
+    /// [`NativeTrace`]: crate::ntrace::NativeTrace
+    #[cfg(feature = "trace")]
+    pub fn run_traced<W>(&self, w: W) -> (NativeRunStats, crate::ntrace::NativeTrace)
+    where
+        W: Workload + Send + Sync + 'static,
+        W::Desc: 'static,
+    {
+        let rt = match self.ring_capacity {
+            Some(cap) => self.rt.clone().with_tracing(cap),
+            None => self.rt.traced(),
+        };
+        let (mut stats, ran) = self.run_on(&rt, w);
+        let trace = ran.trace();
+        stats.trace_dropped = trace.data.workers.iter().map(|r| r.dropped()).sum();
+        (stats, trace)
+    }
 }
 
 #[cfg(test)]
@@ -1118,5 +905,35 @@ mod tests {
         }
         let rt = Runtime::new(2);
         assert_eq!(rt.run(|| chain(500)), 500);
+    }
+
+    #[cfg(feature = "trace")]
+    #[test]
+    fn traced_run_tiles_the_makespan() {
+        use uat_model::{sequential_profile, testutil::BinTree};
+        let w = BinTree {
+            depth: 5,
+            work: 2_000,
+            frame: 256,
+        };
+        let (s, t) = NativeRunner::new(2)
+            .with_work_divisor(8)
+            .run_traced(w.clone());
+        assert_eq!(s.total_tasks, 63);
+        assert_eq!(s.trace_dropped, 0);
+        let mk = t.data.makespan.get();
+        assert!(mk > 0, "traced run has a zero makespan");
+        assert_eq!(t.accounts.len(), 2);
+        for (i, acc) in t.accounts.iter().enumerate() {
+            assert_eq!(
+                acc.total().get(),
+                mk,
+                "worker {i} buckets do not tile the makespan"
+            );
+        }
+        // Counts must agree with the untraced accounting.
+        let p = sequential_profile(&w);
+        assert_eq!(s.total_tasks, p.tasks);
+        assert_eq!(s.join_fingerprint, p.join_fingerprint);
     }
 }

@@ -22,8 +22,10 @@
 //!   splittable RNG), NQueens, Fibonacci.
 //! - [`fiber`] (`uat-fiber`) — a *native* x86-64 lightweight-thread
 //!   runtime built on the paper's Appendix A context-switching assembly,
-//!   with real multi-worker work stealing and an interpreter
-//!   (`fiber::interp`) that runs any [`model`] workload on real fibers.
+//!   with one work-stealing scheduler (`fiber::sched`) over threads or
+//!   forked processes, and an interpreter that runs any [`model`]
+//!   workload on real fibers (`fiber::NativeRunner`,
+//!   `fiber::MultiProcessRunner`).
 //! - [`metrics`] (`uat-metrics`, feature `metrics`) — the live-metrics
 //!   layer: per-worker sharded counters, log-bucketed latency
 //!   histograms, and Prometheus-text/JSON exporters that both backends

@@ -20,10 +20,13 @@ fn exported_totals_match_trace_ground_truth() {
     let registry = Arc::new(Registry::new(workers));
     // Rings big enough that nothing drops: a dropped event would void
     // the "same run" premise of every equality below (asserted first).
+    // uts11 emits about 16M events in all (eight per task), and either
+    // worker may emit well over half of them, so each ring holds 2^24
+    // (rings grow only as events arrive).
     let (stats, trace) = NativeRunner::new(workers)
         .with_metrics(Arc::clone(&registry))
         .with_sampler(DEFAULT_SAMPLE_INTERVAL)
-        .with_tracing(1 << 23)
+        .with_tracing(1 << 24)
         .run_traced(Uts::geometric(11));
     assert_eq!(stats.trace_dropped, 0, "rings dropped events");
     let snap = registry.snapshot();
