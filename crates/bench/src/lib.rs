@@ -286,7 +286,8 @@ pub fn backend_flag(rest: &[String]) -> Result<(Backend, Vec<String>), String> {
 /// `multiprocess` worker processes), verify its accounting against the
 /// sequential ground truth, and print a throughput summary. Returns
 /// `None` — after printing the reason — when the host cannot run the
-/// multiprocess backend (treat as "skip", like the ipc probes).
+/// multiprocess backend (treat as "skip", with the reason
+/// `MultiProcessRunner::probe_support` gave).
 ///
 /// # Panics
 /// On accounting divergence (a backend bug), or if called with

@@ -19,8 +19,10 @@
 //!   loop over the THE deque from `uat-deque`, one join protocol, and
 //!   the interpreter that runs any `uat-model` `Workload` (`Work` /
 //!   `Spawn` / `JoinAll` programs) with real frame reservation —
-//!   generic over a `Placement`: where deques, stacks and per-worker
-//!   state live.
+//!   generic over a `Placement`: where deques, stacks, counter rows and
+//!   per-worker state live. The scheduler itself counts heartbeats,
+//!   steals, parks, unparks and tasks into each worker's counter row,
+//!   the same way on both placements and in every feature build.
 //! - [`runtime`]: the thread placement — OS-thread workers, pooled
 //!   stacks, genuine steal-a-started-thread semantics in the
 //!   shared-memory degenerate case the paper notes in Section 2
@@ -32,23 +34,19 @@
 //!   rings, `TimeAccount` buckets, and steal-phase spans feeding the
 //!   same `uat-trace` exporters and profiler the simulator uses
 //!   (zero-cost stubs when the `trace` feature is off).
-//! - [`nmetrics`]: online metrics and runtime health — sharded
-//!   scheduler counters, HDR tail-latency histograms, per-worker
-//!   flight-recorder rings, a deque-depth sampler thread, and the
-//!   heartbeat stall watchdog (stubs when the `metrics` feature is
-//!   off).
-//! - [`ipc`]: the faithful **cross-address-space** demonstration —
-//!   process-per-core via `fork`, the uni-address region at the same
-//!   fixed virtual address in each process, shared-memory task-queue
-//!   words, a one-sided `process_vm_readv` stack transfer, and
-//!   `resume_context` of a started thread on the other process.
-//! - [`mpruntime`]: the process placement — the demonstration promoted
-//!   to a full third backend, a process-per-worker driver
-//!   ([`MultiProcessRunner`]) that maps deques, fiber stacks, task
-//!   records, join cells, and the metrics segment into one `memfd`
-//!   region at the same fixed address everywhere, so a cross-process
-//!   steal is deque atomics plus `resume_context` and the parent exports
-//!   per-worker metrics through `uat-rdma` fabric reads.
+//! - `nmetrics` (with the `metrics` feature): online metrics and
+//!   runtime health on metered thread runs — the counter rows folded
+//!   into a `uat-metrics` registry, HDR tail-latency histograms,
+//!   per-worker flight-recorder rings, a deque-depth sampler thread,
+//!   and the heartbeat stall watchdog.
+//! - [`mpruntime`]: the process placement — the paper's
+//!   process-per-core deployment as a full third backend, a
+//!   process-per-worker driver ([`MultiProcessRunner`]) that maps
+//!   deques, fiber stacks, task records, join cells, and the counter
+//!   rows (the metrics segment) into one `memfd` region at the same
+//!   fixed address everywhere, so a cross-process steal is deque
+//!   atomics plus `resume_context` and the parent exports per-worker
+//!   metrics through `uat-rdma` fabric reads.
 //!
 //! # Safety
 //!
@@ -63,8 +61,8 @@
 
 pub mod creation;
 pub mod ctx;
-pub mod ipc;
 pub mod mpruntime;
+#[cfg(feature = "metrics")]
 pub mod nmetrics;
 pub mod ntrace;
 pub mod runtime;
@@ -73,9 +71,6 @@ pub mod stack;
 pub mod tsc;
 
 pub use creation::{measure_creation, CreationStrategy};
-pub use ipc::{
-    probe_fixed_noreplace, probe_process_vm_readv, steal_between_processes, steal_with_retries,
-};
 pub use mpruntime::{set_bootstrap_alloc_probe, MpReport, MultiProcessRunner};
 #[cfg(feature = "metrics")]
 pub use nmetrics::{StallDump, WatchdogAction, WatchdogCfg, WatchdogReport};

@@ -3,12 +3,10 @@
 //!
 //! The scheduler is [`crate::sched`]'s, the same one the thread runtime
 //! runs; this module is its process `Placement` plus the coordinator.
-//! [`ipc`](crate::ipc) demonstrates the mechanism once (fork + fixed
-//! mapping + one steal); this module makes it a driver. The coordinator
-//! (parent) creates a single `memfd` and maps it `MAP_SHARED` at
-//! [`MP_BASE`] with `MAP_FIXED_NOREPLACE` **before forking**, so every
-//! worker process inherits *the same physical pages at the same virtual
-//! address* — the uni-address region. Everything the protocol touches
+//! The coordinator (parent) creates a single `memfd` and maps it
+//! `MAP_SHARED` at [`MP_BASE`] with `MAP_FIXED_NOREPLACE` **before
+//! forking**, so every worker process inherits *the same physical pages
+//! at the same virtual address* — the uni-address region. Everything the protocol touches
 //! lives inside it:
 //!
 //! - the **THE deques** ([`uat_deque::ShmDeque`] placement blocks at the
@@ -17,17 +15,17 @@
 //!   continuation's frames are already present in the thief's address
 //!   space — a cross-process steal is deque atomics plus
 //!   `resume_context`, zero messages *and* zero copies (the shared
-//!   mapping is the transfer; compare [`ipc`](crate::ipc), where
-//!   private mappings force a real `process_vm_readv`);
+//!   mapping is the transfer);
 //! - each task's **record** and **program area** (at its slot's stack
 //!   top) and its parent's **join cell** (a local on the parent's
 //!   stack), so no private-heap pointer is ever reachable from a
 //!   migratable stack (invariant [I16]);
 //! - the interpreter's **tally** rows (per-worker accounting cells);
-//! - the **metrics segment** ([`uat_metrics::shm`] layout), per-worker
-//!   counter cells the parent reads back through
-//!   [`uat_rdma::OneSidedFabric`] windows — per-worker metrics export
-//!   with no RPC;
+//! - the **metrics segment** ([`uat_metrics::shm`] layout): each
+//!   worker's scheduler counter row (`sched::Row`, the same row the
+//!   thread placement keeps on the heap), which the parent reads back
+//!   through [`uat_rdma::OneSidedFabric`] windows — per-worker metrics
+//!   export with no RPC;
 //! - the **control block**: the root's join cell, the shutdown flag,
 //!   and the slot free list.
 //!
@@ -64,20 +62,20 @@
 //! the opaque call.
 
 use crate::ntrace::WorkerTracer;
-use crate::sched::{self, Env, JoinCell, NativeRunStats, Placement, Prog, TallyRow, Task, Worker};
+use crate::runtime::SchedStats;
+use crate::sched::{self, Env, JoinCell, NativeRunStats, Placement, Prog, Row, Task, Worker};
 use std::ffi::c_void;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::ptr::addr_of_mut;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, Once};
 use uat_base::WorkerId;
-use uat_deque::{RawDeque, ShmDeque, StealPhases};
+use uat_deque::{RawDeque, ShmDeque};
 use uat_model::Workload;
 use uat_rdma::{OneSidedFabric, ShmFabric};
 
 /// Fixed virtual address of the multiprocess uni-address region (same
-/// in every worker process; distinct from [`crate::ipc::UNI_BASE`] so
-/// the two demonstrations can coexist in one test binary).
+/// in every worker process).
 pub const MP_BASE: usize = 0x7e00_0000_0000;
 
 const PAGE: usize = 4096;
@@ -90,17 +88,6 @@ const DEQ_CAP: usize = 8192;
 const PROG_BYTES: usize = 128 << 10;
 /// Hard cap on worker processes (sizes the control block).
 pub const MAX_WORKERS: usize = 64;
-
-// Per-worker cells of the exported metrics segment. Indices MUST match
-// `uat_metrics::shm::SEGMENT_COUNTERS` order (asserted by a test below)
-// so the parent-side snapshot names each cell correctly.
-const MC_HEARTBEATS: usize = 0;
-const MC_STEALS_COMPLETED: usize = 1;
-const MC_STEALS_FAILED: usize = 2;
-const MC_PARKS: usize = 3;
-const MC_UNPARKS: usize = 4;
-const MC_TASKS: usize = 5;
-const MC_STRIDE: usize = 8;
 
 /// Shared control block, at the very start of the region.
 #[repr(C)]
@@ -146,8 +133,8 @@ impl RegionLayout {
         assert!((1..=MAX_WORKERS).contains(&workers));
         assert!(slots > workers, "need at least one slot per worker");
         let metrics_off = PAGE;
-        let tally_off = metrics_off + round_page(workers * MC_STRIDE * 8);
-        let tally_rows = (workers + 1) * std::mem::size_of::<TallyRow>();
+        let tally_off = metrics_off + round_page(workers * std::mem::size_of::<Row>());
+        let tally_rows = (workers + 1) * std::mem::size_of::<Row>();
         let deques_off = tally_off + round_page(tally_rows);
         let slots_off = deques_off + round_page(workers * ShmDeque::block_size(DEQ_CAP));
         let slot_size = PAGE + round_page(stack_size) + PROG_BYTES;
@@ -169,14 +156,15 @@ impl RegionLayout {
         unsafe { &*(MP_BASE as *const Ctrl) }
     }
 
-    fn metrics_cell_addr(&self, w: usize, c: usize) -> usize {
-        debug_assert!(w < self.workers && c < MC_STRIDE);
-        MP_BASE + self.metrics_off + (w * MC_STRIDE + c) * 8
+    /// The metrics segment: each worker's counter row (zeroed by the
+    /// mapping).
+    fn counters(&self) -> *const Row {
+        (MP_BASE + self.metrics_off) as *const Row
     }
 
     /// The interpreter tally (`workers + 1` rows, zeroed by the mapping).
-    fn tally(&self) -> *const TallyRow {
-        (MP_BASE + self.tally_off) as *const TallyRow
+    fn tally(&self) -> *const Row {
+        (MP_BASE + self.tally_off) as *const Row
     }
 
     /// Worker `w`'s deque handle (any process may make any worker's
@@ -218,26 +206,16 @@ impl RegionLayout {
 /// The process placement's per-worker state: the region's layout and
 /// every worker's deque handle, built at bootstrap without allocating.
 pub(crate) struct Procs {
-    worker: usize,
     layout: RegionLayout,
     deques: [Option<ShmDeque>; MAX_WORKERS],
 }
 
 impl Procs {
-    fn new(worker: usize, layout: RegionLayout) -> Procs {
+    fn new(layout: RegionLayout) -> Procs {
         Procs {
-            worker,
             layout,
             deques: std::array::from_fn(|w| (w < layout.workers).then(|| layout.deque(w))),
         }
-    }
-
-    /// Bump one of this worker's metrics-segment cells.
-    fn count(&self, c: usize) {
-        // SAFETY: [I16] the cell address comes from the layout, inside
-        // the live mapping.
-        let cell = unsafe { &*(self.layout.metrics_cell_addr(self.worker, c) as *const AtomicU64) };
-        cell.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -275,6 +253,13 @@ impl Placement for Procs {
         self.deques[v].as_ref().expect("deque of a live worker")
     }
 
+    fn counters(&self, v: usize) -> &Row {
+        debug_assert!(v < self.layout.workers);
+        // SAFETY: [I16] the metrics segment has a row per worker, inside
+        // the live mapping.
+        unsafe { &*self.layout.counters().add(v) }
+    }
+
     fn shutting_down(&self) -> bool {
         self.layout.ctrl().shutdown_flag.load(Ordering::Acquire) != 0
     }
@@ -293,41 +278,7 @@ impl Placement for Procs {
     }
 
     fn task_panicked() -> ! {
-        // The coordinator turns the exit status into a run failure.
-        // eprintln! would take the stderr lock, which another parent
-        // thread may have held at fork time — only async-signal-safe
-        // calls are allowed here, so write(2) raw.
-        let msg = b"uat-fiber(mp): task panicked; worker exiting\n";
-        // SAFETY: [I10] async-signal-safe raw write + process exit.
-        unsafe {
-            libc::write(2, msg.as_ptr() as *const c_void, msg.len());
-            libc::_exit(101)
-        }
-    }
-
-    fn on_steal(&mut self, _victim: usize, ok: bool, _phases: Option<&StealPhases>) {
-        self.count(if ok {
-            MC_STEALS_COMPLETED
-        } else {
-            MC_STEALS_FAILED
-        });
-    }
-
-    fn on_loop(&mut self) {
-        self.count(MC_HEARTBEATS);
-    }
-
-    fn on_park(&mut self) {
-        self.count(MC_PARKS);
-    }
-
-    fn on_unpark(&mut self) {
-        self.count(MC_UNPARKS);
-    }
-
-    fn on_task_begin(&mut self) -> u64 {
-        self.count(MC_TASKS);
-        0
+        worker_panicked(None)
     }
 }
 
@@ -413,6 +364,64 @@ fn probe_allocs() -> u64 {
 }
 
 // ---------------------------------------------------------------------
+// Panics in worker processes.
+// ---------------------------------------------------------------------
+
+/// Set by `mp_bootstrap`: this process is a worker, whose panics must
+/// not reach std's hook (see [`install_panic_hook`]).
+static IN_WORKER: AtomicBool = AtomicBool::new(false);
+
+/// Wrap the process's panic hook, once, before the first fork. std's
+/// default hook takes the backtrace and stderr locks; a worker forked
+/// while a parent thread held either would block on it forever, and the
+/// coordinator would wait on a worker that neither runs nor dies. In a
+/// worker the wrapper ends the process (a panic there is a task or
+/// scheduler failure, whatever would catch it); everywhere else it
+/// defers to the previous hook.
+fn install_panic_hook() {
+    static HOOKED: Once = Once::new();
+    HOOKED.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if IN_WORKER.load(Ordering::Relaxed) {
+                worker_panicked(info.location());
+            }
+            prev(info)
+        }));
+    });
+}
+
+/// End a worker process after a panic: one line to stderr by raw
+/// `write(2)`, formatted on the stack (a child of a multithreaded parent
+/// may only make async-signal-safe calls), then `_exit(101)`, which the
+/// coordinator turns into a run failure.
+fn worker_panicked(at: Option<&std::panic::Location>) -> ! {
+    use std::fmt::Write as _;
+    let mut line = Line([0; 160], 0);
+    let _ = match at {
+        Some(at) => writeln!(line, "uat-fiber(mp): task panicked at {at}; worker exiting"),
+        None => writeln!(line, "uat-fiber(mp): task panicked; worker exiting"),
+    };
+    // SAFETY: [I10] async-signal-safe raw write + process exit.
+    unsafe {
+        libc::write(2, line.0.as_ptr() as *const c_void, line.1);
+        libc::_exit(101)
+    }
+}
+
+/// A stack buffer that formatting fills, truncating, without allocating.
+struct Line([u8; 160], usize);
+
+impl std::fmt::Write for Line {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let n = s.len().min(self.0.len() - self.1);
+        self.0[self.1..self.1 + n].copy_from_slice(&s.as_bytes()[..n]);
+        self.1 += n;
+        Ok(())
+    }
+}
+
+// ---------------------------------------------------------------------
 // The worker process.
 // ---------------------------------------------------------------------
 
@@ -429,11 +438,12 @@ fn probe_allocs() -> u64 {
 /// `mp_fork_safety` test enforces it dynamically.
 unsafe fn mp_bootstrap(id: usize, layout: RegionLayout, root: Option<*mut Task<Procs>>) -> ! {
     let before = probe_allocs();
+    IN_WORKER.store(true, Ordering::Relaxed);
     // SAFETY: [I15] single-threaded fresh child; first and only
     // initialisation of this process's state. In-place write, no heap.
     unsafe {
         let trace = WorkerTracer::new(None, id);
-        *addr_of_mut!(MP_PROC) = Some(Worker::new(id, Procs::new(id, layout), trace));
+        *addr_of_mut!(MP_PROC) = Some(Worker::new(id, Procs::new(layout), trace));
     }
     layout.ctrl().bootstrap_allocs[id]
         .store(probe_allocs().wrapping_sub(before), Ordering::Release);
@@ -530,7 +540,7 @@ impl MultiProcessRunner {
     /// Probe whether this host can run the multiprocess backend: a
     /// `memfd` + `MAP_FIXED_NOREPLACE` mapping at [`MP_BASE`] must
     /// succeed. Returns the reason when it cannot (callers should treat
-    /// that as "skip", mirroring the ipc probes).
+    /// that as "skip" and print the reason).
     pub fn probe_support() -> Result<(), String> {
         // Serialize with live runs: the probe maps a page at MP_BASE,
         // so an unlocked probe can both fail spuriously against a
@@ -577,6 +587,7 @@ impl MultiProcessRunner {
         // region). A poisoned lock just means another run panicked; its
         // `Mapped` guard unmapped the region on the way out.
         let _guard = MP_RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        install_panic_hook();
         let layout = RegionLayout::new(self.workers, self.slots, self.stack_size);
         map_region(layout.total)?;
         // Dropped before the lock guard, on unwind too: a panicking run
@@ -656,7 +667,9 @@ impl MultiProcessRunner {
                 let exit = catch_unwind(AssertUnwindSafe(|| unsafe {
                     mp_bootstrap(id, *layout, seed)
                 }));
-                // Reached only if bootstrap/scheduler panicked.
+                // Reached only if a panic unwound this far: our panic
+                // hook ends a worker before unwinding, unless a later
+                // hook replaced it. Never unwind into the parent's frames.
                 let _ = exit;
                 // SAFETY: [I10] async-signal-safe process exit.
                 unsafe { libc::_exit(102) }
@@ -716,48 +729,44 @@ impl MultiProcessRunner {
         // READs the cells through the fabric — per-worker metrics with
         // no RPC and no pipes.
         let mut fabric = ShmFabric::new();
-        let mut metric_words = vec![0u64; layout.workers * MC_STRIDE];
+        const ROW_BYTES: usize = std::mem::size_of::<Row>();
+        let mut metric_words = Vec::with_capacity(layout.workers * sched::ROW_CELLS);
         for wk in 0..layout.workers {
-            let row = layout.metrics_cell_addr(wk, 0);
+            let row = layout.counters().wrapping_add(wk) as u64;
             // SAFETY: [I13] the row is inside the live mapping, shared
             // with worker `wk` at this same address; the workers have
             // exited, so no location is concurrently written.
             unsafe {
                 fabric
-                    .register_region(WorkerId(wk as u32), row as u64, MC_STRIDE * 8)
+                    .register_region(WorkerId(wk as u32), row, ROW_BYTES)
                     .expect("register metrics window");
             }
-            let mut buf = [0u8; MC_STRIDE * 8];
+            let mut buf = [0u8; ROW_BYTES];
             fabric
                 .read(
                     WorkerId(layout.workers as u32),
                     WorkerId(wk as u32),
-                    row as u64,
+                    row,
                     &mut buf,
                 )
                 .expect("fabric read of metrics row");
-            for c in 0..MC_STRIDE {
-                metric_words[wk * MC_STRIDE + c] =
-                    u64::from_le_bytes(buf[c * 8..(c + 1) * 8].try_into().unwrap());
-            }
+            metric_words.extend(
+                buf.chunks_exact(8)
+                    .map(|w| u64::from_le_bytes(w.try_into().unwrap())),
+            );
         }
-        let msum = |c: usize| -> u64 {
-            (0..layout.workers)
-                .map(|wk| metric_words[wk * MC_STRIDE + c])
-                .sum()
-        };
         let bootstrap_allocs = (0..layout.workers)
             .map(|wk| ctrl.bootstrap_allocs[wk].load(Ordering::Acquire))
             .collect();
-        // SAFETY: [I16] the tally rows are inside the live mapping, and
-        // every worker has exited.
-        let tally = unsafe { std::slice::from_raw_parts(layout.tally(), layout.workers + 1) };
-        let sched = crate::runtime::SchedStats {
-            steals: msum(MC_STEALS_COMPLETED),
-            parks: msum(MC_PARKS),
-            unparks: msum(MC_UNPARKS),
-            wall,
+        // SAFETY: [I16] the tally and counter rows are inside the live
+        // mapping, and every worker has exited.
+        let (tally, counters) = unsafe {
+            (
+                std::slice::from_raw_parts(layout.tally(), layout.workers + 1),
+                std::slice::from_raw_parts(layout.counters(), layout.workers),
+            )
         };
+        let sched = SchedStats::from_rows(counters, wall);
         MpReport {
             stats: NativeRunStats::from_tally(workload, tally, sched),
             bootstrap_allocs,
@@ -842,27 +851,6 @@ pub(crate) mod tests {
         }
     }
 
-    /// The metrics-cell indices hard-coded here must match the shared
-    /// segment layout the exporter names cells by.
-    #[cfg(feature = "metrics")]
-    #[test]
-    fn metrics_cell_indices_match_segment_layout() {
-        use uat_metrics::{names, shm};
-        assert_eq!(MC_STRIDE, shm::ROW_STRIDE);
-        let expect = [
-            (MC_HEARTBEATS, names::HEARTBEATS),
-            (MC_STEALS_COMPLETED, names::STEALS_COMPLETED),
-            (MC_STEALS_FAILED, names::STEALS_FAILED),
-            (MC_PARKS, names::PARKS),
-            (MC_UNPARKS, names::UNPARKS),
-            (MC_TASKS, names::TASKS),
-        ];
-        assert_eq!(shm::SEGMENT_COUNTERS.len(), expect.len());
-        for (idx, name) in expect {
-            assert_eq!(shm::SEGMENT_COUNTERS[idx].0, name, "cell {idx}");
-        }
-    }
-
     /// A workload whose every non-root task panics.
     #[derive(Clone)]
     struct PanicChild;
@@ -918,7 +906,7 @@ pub(crate) mod tests {
         // Tasks exported through the fabric-read segment agree with the
         // stats bank.
         let tasks: u64 = (0..2)
-            .map(|wk| report.metric_words[wk * MC_STRIDE + MC_TASKS])
+            .map(|wk| report.metric_words[wk * sched::ROW_CELLS + sched::MC_TASKS])
             .sum();
         assert_eq!(tasks, report.stats.total_tasks);
         #[cfg(feature = "metrics")]

@@ -13,8 +13,8 @@
 //!
 //! The scheduler itself — worker loop, trampolines, completion tail and
 //! join protocol — is [`crate::sched`]'s; this module is its
-//! `Placement` for threads (heap-owned deques, a [`StackPool`] per
-//! worker, the worker reached through TLS, trace and metrics hooks), the
+//! `Placement` for threads (heap-owned deques and counter rows, a
+//! [`StackPool`] per worker, the worker reached through TLS), the
 //! closure API on top — [`Runtime::run`], [`spawn`] and
 //! [`JoinHandle::join`] (Figure 2's `task<T>`/`join`) — and
 //! [`NativeRunner`], which runs a `uat-model` `Workload` through the
@@ -22,29 +22,32 @@
 //! simulator (the basis of the differential harness,
 //! `tests/differential.rs`).
 
-use crate::nmetrics::{MetricsShared, WorkerMetrics};
+#[cfg(feature = "metrics")]
+use crate::nmetrics::{MetricsShared, Timed};
 #[cfg(feature = "trace")]
 use crate::ntrace::TraceShared;
 use crate::ntrace::WorkerTracer;
-use crate::sched::{self, Env, JoinCell, NativeRunStats, Placement, Prog, TallyRow, Task, Worker};
+use crate::sched::{self, Env, JoinCell, NativeRunStats, Placement, Prog, Row, Task, Worker};
 use crate::stack::{Stack, StackPool};
-use crate::tsc::RunClock;
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
-use uat_deque::{NativeDeque, RawDeque, StealPhases};
+use uat_deque::{NativeDeque, RawDeque};
 use uat_model::Workload;
 
 /// Run-wide state of one thread run.
 pub(crate) struct Shared {
     deques: Vec<NativeDeque<u64>>,
+    /// Each worker's scheduler counters.
+    counters: Vec<Row>,
     shutdown: AtomicBool,
-    /// Run-wide metrics state: sharded scheduler counters (steals,
-    /// parks, heartbeats, …), tail-latency histograms, and the flight
-    /// rings. With the `metrics` feature off this degrades to the three
-    /// plain atomics [`SchedStats`] needs.
-    metrics: Arc<MetricsShared>,
+    /// The metered tier's run-wide state (registry, histograms, flight
+    /// rings); `None` = unmetered.
+    #[cfg(feature = "metrics")]
+    metrics: Option<Arc<MetricsShared>>,
+    /// Watchdog-test sabotage: this worker never heartbeats.
+    stalled: Option<usize>,
     /// The coordinator's join on the root task.
     root: JoinCell,
     /// Run-wide trace state; `None` = untraced (hooks early-out).
@@ -56,7 +59,6 @@ pub(crate) struct Shared {
 pub(crate) struct Threads {
     shared: Arc<Shared>,
     pool: StackPool,
-    metrics: WorkerMetrics,
 }
 
 /// What a thread task owns: its pooled stack, plus (for closure tasks)
@@ -124,6 +126,10 @@ impl Placement for Threads {
         &self.shared.deques[v]
     }
 
+    fn counters(&self, v: usize) -> &Row {
+        &self.shared.counters[v]
+    }
+
     fn shutting_down(&self) -> bool {
         self.shared.shutdown.load(Ordering::Acquire)
     }
@@ -142,40 +148,6 @@ impl Placement for Threads {
         // Mirror the paper's C++ runtime and die loudly.
         eprintln!("uat-fiber: task panicked; aborting");
         std::process::abort();
-    }
-
-    fn clock(&self) -> Option<RunClock> {
-        self.metrics.clock()
-    }
-
-    fn on_steal(&mut self, victim: usize, ok: bool, phases: Option<&StealPhases>) {
-        match phases {
-            Some(ph) => self.metrics.on_steal_phased(victim, ok, ph),
-            None => self.metrics.on_steal_untimed(ok),
-        }
-    }
-
-    fn on_loop(&mut self) {
-        // Heartbeat: one epoch per scheduler-loop iteration. Parked
-        // workers iterate every sleep cycle, so only a wedged (or
-        // task-monopolized) worker's epoch ever freezes.
-        self.metrics.on_loop();
-    }
-
-    fn on_park(&mut self) {
-        self.metrics.on_park();
-    }
-
-    fn on_unpark(&mut self) {
-        self.metrics.on_unpark();
-    }
-
-    fn on_task_begin(&mut self) -> u64 {
-        self.metrics.on_task_begin()
-    }
-
-    fn on_task_end(&mut self, born: u64) {
-        self.metrics.on_task_end(born);
     }
 }
 
@@ -270,7 +242,6 @@ pub struct Runtime {
     #[cfg(feature = "metrics")]
     watchdog: Option<crate::nmetrics::WatchdogCfg>,
     /// Watchdog-test sabotage: this worker never heartbeats.
-    #[cfg(feature = "metrics")]
     sabotage: Option<usize>,
 }
 
@@ -291,7 +262,6 @@ impl Runtime {
             sampler: None,
             #[cfg(feature = "metrics")]
             watchdog: None,
-            #[cfg(feature = "metrics")]
             sabotage: None,
         }
     }
@@ -451,19 +421,15 @@ impl Runtime {
         let trace = self
             .trace_rings
             .map(|cap| TraceShared::new(self.nworkers, cap));
-        #[cfg(feature = "metrics")]
-        let metrics = Arc::new(MetricsShared::new(
-            self.nworkers,
-            self.registry.clone(),
-            self.metered,
-            self.sabotage,
-        ));
-        #[cfg(not(feature = "metrics"))]
-        let metrics = Arc::new(MetricsShared::new());
         let shared = Arc::new(Shared {
             deques: (0..self.nworkers).map(|_| NativeDeque::new(8192)).collect(),
+            counters: (0..self.nworkers).map(|_| Row::default()).collect(),
             shutdown: AtomicBool::new(false),
-            metrics,
+            #[cfg(feature = "metrics")]
+            metrics: self
+                .metered
+                .then(|| Arc::new(MetricsShared::new(self.nworkers, self.registry.clone()))),
+            stalled: self.sabotage,
             root: JoinCell::new(),
             #[cfg(feature = "trace")]
             trace,
@@ -517,8 +483,12 @@ impl Runtime {
                 .name("uat-sampler".into())
                 .spawn(move || {
                     crate::nmetrics::sampler_loop(
-                        &shared.metrics,
+                        shared
+                            .metrics
+                            .as_deref()
+                            .expect("a sampler implies metering"),
                         &shared.deques,
+                        &shared.counters,
                         &stop2,
                         interval,
                         watchdog.as_ref(),
@@ -547,22 +517,21 @@ impl Runtime {
             h.join().expect("worker thread");
         }
         let wall = t0.elapsed();
-        // Every worker has deposited its ring; surface the drop counts
-        // in the registry alongside the scheduler counters.
-        #[cfg(all(feature = "trace", feature = "metrics"))]
-        if let Some(t) = shared.trace.as_ref() {
-            for (i, dropped) in t.dropped_per_worker().into_iter().enumerate() {
-                if dropped > 0 {
-                    shared.metrics.trace_dropped.add(i, dropped);
-                }
-            }
+        // Every worker has stopped: fold the counter rows into the
+        // registry, and the rings' drop counts beside them.
+        #[cfg(feature = "metrics")]
+        if let Some(m) = &shared.metrics {
+            #[cfg(feature = "trace")]
+            let dropped = shared
+                .trace
+                .as_ref()
+                .map(|t| t.dropped_per_worker())
+                .unwrap_or_default();
+            #[cfg(not(feature = "trace"))]
+            let dropped = Vec::new();
+            m.fold(&shared.counters, &dropped);
         }
-        let sched = SchedStats {
-            steals: shared.metrics.steals_total(),
-            parks: shared.metrics.parks_total(),
-            unparks: shared.metrics.unparks_total(),
-            wall,
-        };
+        let sched = SchedStats::from_rows(&shared.counters, wall);
         Ran { sched, shared }
     }
 }
@@ -581,10 +550,18 @@ impl Ran {
         crate::ntrace::finalize(self.shared.trace.as_ref().expect("tracing enabled"))
     }
 
-    /// The run's metrics snapshot.
+    /// The run's metrics snapshot (the runtime must have been metered).
     #[cfg(feature = "metrics")]
     pub(crate) fn snapshot(&self) -> uat_metrics::Snapshot {
-        self.shared.metrics.registry.snapshot()
+        let m = self.shared.metrics.as_ref().expect("metrics enabled");
+        m.registry.snapshot()
+    }
+
+    /// The workers' counter rows, worker-major (the multiprocess
+    /// backend's `MpReport::metric_words` layout).
+    #[cfg(test)]
+    pub(crate) fn counter_words(&self) -> Vec<u64> {
+        sched::row_words(&self.shared.counters)
     }
 }
 
@@ -618,13 +595,16 @@ fn thread_main(id: usize, shared: &Arc<Shared>, stack_size: usize, root: Option<
     let trace = WorkerTracer::new(None, id);
     let place = Threads {
         pool: StackPool::new(stack_size),
-        metrics: WorkerMetrics::new(&shared.metrics, id),
         shared: Arc::clone(shared),
     };
     let mut worker = Worker::new(id, place, trace);
+    #[cfg(feature = "metrics")]
+    {
+        worker.timed = shared.metrics.as_ref().map(|m| Timed::new(m, id));
+    }
     let w: *mut Worker<Threads> = &mut worker;
     CURRENT.with(|c| c.set(w));
-    if shared.metrics.is_sabotaged(id) {
+    if shared.stalled == Some(id) {
         // Watchdog-test sabotage: stay alive (so the run is otherwise
         // healthy) but never enter the scheduler loop, so this worker's
         // heartbeat epoch stays frozen while every other worker
@@ -646,7 +626,7 @@ fn thread_main(id: usize, shared: &Arc<Shared>, stack_size: usize, root: Option<
 #[derive(Clone, Debug)]
 pub struct NativeRunner {
     /// The runtime every run is configured from.
-    rt: Runtime,
+    pub(crate) rt: Runtime,
     work_divisor: u64,
     /// Per-worker event-ring capacity for [`run_traced`]
     /// (`None` = the runtime default).
@@ -719,13 +699,13 @@ impl NativeRunner {
     }
 
     /// Run `w` on `rt`, the root task interpreting `w.root()`.
-    fn run_on<W>(&self, rt: &Runtime, w: W) -> (NativeRunStats, Ran)
+    pub(crate) fn run_on<W>(&self, rt: &Runtime, w: W) -> (NativeRunStats, Ran)
     where
         W: Workload + Send + Sync + 'static,
         W::Desc: 'static,
     {
         let workload = w.name();
-        let tally: Vec<TallyRow> = (0..=rt.workers()).map(|_| TallyRow::default()).collect();
+        let tally: Vec<Row> = (0..=rt.workers()).map(|_| Row::default()).collect();
         let env = Env {
             w,
             divisor: self.work_divisor,

@@ -10,11 +10,17 @@
 //! the seam:
 //!
 //! - threads ([`crate::runtime`]): OS-thread workers in one address
-//!   space, heap-owned deques, pooled stacks, the worker reached through
-//!   TLS, trace and metrics hooks;
+//!   space, heap-owned deques and counter rows, pooled stacks, the
+//!   worker reached through TLS;
 //! - processes ([`crate::mpruntime`]): worker processes over one shared
 //!   region mapped at the same address everywhere, caller-placed deques,
-//!   stack slots, the worker reached through a per-process static.
+//!   counter rows in the metrics segment, stack slots, the worker
+//!   reached through a per-process static.
+//!
+//! Counting is the scheduler's, not the placement's: each worker's
+//! counter row ([`Row`], the `MC_*` cells) is bumped at fixed sites —
+//! the loop heartbeat, the steal outcome, park, unpark and task
+//! completion — on both placements and in every feature build.
 //!
 //! # Safety model
 //!
@@ -45,6 +51,8 @@
 use crate::ctx::{
     resume_context, save_context_and_call, switch_stack_and_call, Context, ContextFn,
 };
+#[cfg(feature = "metrics")]
+use crate::nmetrics::Timed;
 use crate::ntrace::WorkerTracer;
 use crate::runtime::SchedStats;
 use crate::tsc::{self, RunClock};
@@ -52,13 +60,14 @@ use std::ffi::c_void;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use uat_base::SplitMix64;
-use uat_deque::{RawDeque, StealPhases};
+use uat_deque::RawDeque;
 use uat_model::{task_shape_hash, Action, Workload};
 
-/// Where one backend keeps what the scheduler touches, plus that
-/// backend's scheduler counters. The per-worker state *is* the
-/// placement value (`Worker::place`); the counter hooks default to
-/// nothing. Trace hooks are placement-independent (`Worker::trace`).
+/// Where one backend keeps what the scheduler touches. The per-worker
+/// state *is* the placement value (`Worker::place`). Counting, tracing
+/// and timing are placement-independent (`Worker::count`,
+/// `Worker::trace`, `Worker::timed`); a placement only says where each
+/// worker's counter row lives.
 pub(crate) trait Placement: Sized + 'static {
     /// What a task owns besides its record: its stack, and anything
     /// that must outlive the task's join-cell departure. Moved out of
@@ -73,6 +82,8 @@ pub(crate) trait Placement: Sized + 'static {
     fn worker() -> *mut Worker<Self>;
     fn workers(&self) -> usize;
     fn deque(&self, v: usize) -> &RawDeque<u64>;
+    /// Worker `v`'s scheduler counters (the `MC_*` cells).
+    fn counters(&self, v: usize) -> &Row;
     fn shutting_down(&self) -> bool;
     /// A fresh stack for a new task, and its top.
     fn alloc(&mut self) -> (Self::Own, *mut u8);
@@ -85,22 +96,6 @@ pub(crate) trait Placement: Sized + 'static {
     /// A task body panicked. Unwinding across a context switch is
     /// undefined, so this ends the process, loudly.
     fn task_panicked() -> !;
-
-    /// The clock timed steals read, when the counters want latencies.
-    fn clock(&self) -> Option<RunClock> {
-        None
-    }
-    /// One steal attempt on `victim` ended (`phases` when timed).
-    fn on_steal(&mut self, _victim: usize, _ok: bool, _phases: Option<&StealPhases>) {}
-    /// One scheduler-loop iteration (the heartbeat).
-    fn on_loop(&mut self) {}
-    fn on_park(&mut self) {}
-    fn on_unpark(&mut self) {}
-    /// A task body starts; the stamp comes back to `on_task_end`.
-    fn on_task_begin(&mut self) -> u64 {
-        0
-    }
-    fn on_task_end(&mut self, _born: u64) {}
 }
 
 /// A worker's scheduler state: the placement-independent part plus the
@@ -119,7 +114,11 @@ pub(crate) struct Worker<P: Placement> {
     rng: SplitMix64,
     /// Trace hooks (no-ops unless the run is traced).
     pub(crate) trace: WorkerTracer,
-    /// The placement's per-worker state and counters.
+    /// The timed metrics tier (histograms, flight ring, metrics clock);
+    /// present only on metered thread runs.
+    #[cfg(feature = "metrics")]
+    pub(crate) timed: Option<Box<Timed>>,
+    /// The placement's per-worker state.
     pub(crate) place: P,
 }
 
@@ -132,7 +131,63 @@ impl<P: Placement> Worker<P> {
             parking: std::ptr::null(),
             rng: SplitMix64::new(0x5EED ^ id as u64),
             trace,
+            #[cfg(feature = "metrics")]
+            timed: None,
             place,
+        }
+    }
+
+    /// Bump one of this worker's scheduler counters.
+    fn count(&self, c: usize) {
+        self.place.counters(self.id).add(c, 1);
+    }
+
+    /// The clock timed steals read: the trace's, else the metered
+    /// tier's (either epoch works, a latency is a difference).
+    fn clock(&self) -> Option<RunClock> {
+        #[cfg(feature = "metrics")]
+        if let Some(t) = &self.timed {
+            return self.trace.clock().or(Some(t.clock));
+        }
+        self.trace.clock()
+    }
+
+    /// The worker crossed the idle spin threshold into sleep cycles.
+    fn on_park(&mut self) {
+        self.trace.on_park();
+        self.count(MC_PARKS);
+        #[cfg(feature = "metrics")]
+        if let Some(t) = &mut self.timed {
+            t.on_park();
+        }
+    }
+
+    /// A parked worker found work.
+    fn on_unpark(&mut self) {
+        self.trace.on_unpark();
+        self.count(MC_UNPARKS);
+        #[cfg(feature = "metrics")]
+        if let Some(t) = &mut self.timed {
+            t.on_unpark();
+        }
+    }
+
+    /// A task body starts: the timed tier's stamp, handed back to
+    /// [`on_task_end`](Self::on_task_end) (0 when unmetered).
+    fn on_task_begin(&mut self) -> u64 {
+        #[cfg(feature = "metrics")]
+        if let Some(t) = &mut self.timed {
+            return t.on_task_begin();
+        }
+        0
+    }
+
+    /// A task completed (possibly on another worker than it began on).
+    fn on_task_end(&mut self, _born: u64) {
+        self.count(MC_TASKS);
+        #[cfg(feature = "metrics")]
+        if let Some(t) = &mut self.timed {
+            t.on_task_end(_born);
         }
     }
 }
@@ -393,7 +448,7 @@ unsafe extern "C" fn child_main<P: Placement>(arg: *mut c_void) -> ! {
             w.place.deque(w.id).push(parent_ctx);
         }
         // Copy locals, so they survive any migration of this stack.
-        (w.trace.on_task_begin(trace_id), w.place.on_task_begin())
+        (w.trace.on_task_begin(trace_id), w.on_task_begin())
     };
     // SAFETY: [I8] the body runs exactly once, on the task's own stack.
     if catch_unwind(AssertUnwindSafe(|| unsafe { body(task) })).is_err() {
@@ -409,7 +464,7 @@ unsafe extern "C" fn child_main<P: Placement>(arg: *mut c_void) -> ! {
         debug_assert!(w.retired.is_none());
         w.retired = Some(std::ptr::addr_of!((*task).own).read());
         w.trace.on_task_end(trace_id, born.0);
-        w.place.on_task_end(born.1);
+        w.on_task_end(born.1);
         // The joiner cannot free the cell before it is resumed, and it
         // is not resumed before its own departure or ours.
         if let Some(ctx) = (*join).depart() {
@@ -526,7 +581,9 @@ pub(crate) fn worker_loop<P: Placement>(root: Option<*mut Task<P>>) {
         // SAFETY: [I7] each borrow below is scoped to its statement, and
         // none is held across a switch into a fiber.
         let parking = unsafe {
-            (*w).place.on_loop();
+            // The heartbeat: parked workers iterate every sleep cycle,
+            // so only a wedged (or task-monopolized) worker's freezes.
+            (*w).count(MC_HEARTBEATS);
             std::mem::replace(&mut (*w).parking, std::ptr::null())
         };
         // The joiner's arrival from this OS stack [I12]. If every child
@@ -568,10 +625,7 @@ pub(crate) fn worker_loop<P: Placement>(root: Option<*mut Task<P>>) {
                 if parked {
                     parked = false;
                     // SAFETY: [I7] as above.
-                    unsafe {
-                        (*w).trace.on_unpark();
-                        (*w).place.on_unpark();
-                    }
+                    unsafe { (*w).on_unpark() };
                 }
                 run::<P>(resume_tramp::<P>, ctx as *mut c_void);
             }
@@ -585,10 +639,7 @@ pub(crate) fn worker_loop<P: Placement>(root: Option<*mut Task<P>>) {
                     if !parked {
                         parked = true;
                         // SAFETY: [I7] as above.
-                        unsafe {
-                            (*w).trace.on_park();
-                            (*w).place.on_park();
-                        }
+                        unsafe { (*w).on_park() };
                     }
                     std::thread::sleep(std::time::Duration::from_micros(20));
                 } else {
@@ -604,19 +655,24 @@ pub(crate) fn worker_loop<P: Placement>(root: Option<*mut Task<P>>) {
 /// buckets and latency histograms; plain runs keep the bare protocol.
 fn steal<P: Placement>(w: &mut Worker<P>, victim: usize) -> Option<u64> {
     let deque = w.place.deque(victim);
-    match w.trace.clock().or_else(|| w.place.clock()) {
+    let got = match w.clock() {
         Some(clk) => {
             let (got, ph) = deque.steal_phased(|| clk.now_cycles());
             w.trace.on_steal_attempt(victim, got, &ph);
-            w.place.on_steal(victim, got.is_some(), Some(&ph));
+            #[cfg(feature = "metrics")]
+            if let Some(t) = &mut w.timed {
+                t.on_steal(victim, got.is_some(), &ph);
+            }
             got
         }
-        None => {
-            let got = deque.steal();
-            w.place.on_steal(victim, got.is_some(), None);
-            got
-        }
-    }
+        None => deque.steal(),
+    };
+    w.count(if got.is_some() {
+        MC_STEALS_COMPLETED
+    } else {
+        MC_STEALS_FAILED
+    });
+    got
 }
 
 /// Enter fiber code from the scheduler through `tramp`, saving the
@@ -648,8 +704,74 @@ unsafe extern "C" fn start_tramp<P: Placement>(sched: *mut Context, arg: *mut c_
 }
 
 // ---------------------------------------------------------------------
-// The workload interpreter.
+// Per-worker cells: scheduler counters and the interpreter tally.
 // ---------------------------------------------------------------------
+
+/// One cache line of `u64` cells. Every worker has a row of scheduler
+/// counters (the `MC_*` cells), and an interpreter run keeps a tally of
+/// `workers + 1` rows (the `T_*` cells: row 0 machine-wide, row `1 + w`
+/// worker `w`'s). A zeroed row is an empty one, so rows can live
+/// anywhere: the heap (threads) or the shared region (processes).
+#[repr(C, align(64))]
+#[derive(Default)]
+pub(crate) struct Row(pub(crate) [AtomicU64; ROW_CELLS]);
+
+/// Cells per [`Row`].
+pub(crate) const ROW_CELLS: usize = 8;
+
+impl Row {
+    /// Add `v` to `cell`. Single-writer: only the row's own worker adds
+    /// to a per-worker row, so a relaxed load + store suffices (no lock
+    /// prefix) and readers never see a torn or decreasing cell.
+    fn add(&self, cell: usize, v: u64) {
+        let c = &self.0[cell];
+        c.store(c.load(Ordering::Relaxed).wrapping_add(v), Ordering::Relaxed);
+    }
+
+    pub(crate) fn get(&self, cell: usize) -> u64 {
+        self.0[cell].load(Ordering::Acquire)
+    }
+}
+
+/// Every cell of `rows`, row-major: the layout of the multiprocess
+/// metrics segment (`uat_metrics::shm::SegmentLayout`).
+#[cfg(any(test, feature = "metrics"))]
+pub(crate) fn row_words(rows: &[Row]) -> Vec<u64> {
+    rows.iter()
+        .flat_map(|r| (0..ROW_CELLS).map(|c| r.get(c)))
+        .collect()
+}
+
+/// Sum of `cell` over `rows`.
+pub(crate) fn cell_sum(rows: &[Row], cell: usize) -> u64 {
+    rows.iter()
+        .fold(0u64, |acc, r| acc.wrapping_add(r.get(cell)))
+}
+
+// Scheduler counter cells, bumped at fixed sites of the one scheduler
+// on both placements. Indices MUST match `uat_metrics::shm::
+// SEGMENT_COUNTERS` order (asserted by a test below): the process
+// placement's rows *are* the exported metrics segment.
+/// Scheduler-loop iterations (the watchdog's heartbeat epochs).
+pub(crate) const MC_HEARTBEATS: usize = 0;
+pub(crate) const MC_STEALS_COMPLETED: usize = 1;
+pub(crate) const MC_STEALS_FAILED: usize = 2;
+pub(crate) const MC_PARKS: usize = 3;
+pub(crate) const MC_UNPARKS: usize = 4;
+/// Tasks run to completion.
+pub(crate) const MC_TASKS: usize = 5;
+
+impl SchedStats {
+    /// A run's scheduler stats, from its workers' counter rows.
+    pub(crate) fn from_rows(rows: &[Row], wall: std::time::Duration) -> Self {
+        SchedStats {
+            steals: cell_sum(rows, MC_STEALS_COMPLETED),
+            parks: cell_sum(rows, MC_PARKS),
+            unparks: cell_sum(rows, MC_UNPARKS),
+            wall,
+        }
+    }
+}
 
 /// Row-0 cell: machine-wide live frame bytes.
 pub(crate) const T_LIVE_FRAME: usize = 0;
@@ -664,26 +786,9 @@ pub(crate) const T_SPAWNS: usize = 4;
 pub(crate) const T_FRAME_BYTES: usize = 5;
 pub(crate) const T_FINGERPRINT: usize = 6;
 
-/// One cache line of accounting cells. An interpreter run's tally is
-/// `workers + 1` rows: row 0 machine-wide, row `1 + w` worker `w`'s.
-/// A zeroed row is an empty one, so the tally can live anywhere — the
-/// heap (threads) or the shared region (processes).
-#[repr(C, align(64))]
-#[derive(Default)]
-pub(crate) struct TallyRow(pub(crate) [AtomicU64; 8]);
-
-impl TallyRow {
-    fn add(&self, cell: usize, v: u64) {
-        self.0[cell].fetch_add(v, Ordering::Relaxed);
-    }
-}
-
-/// Sum of `cell` over the worker rows of a tally.
-pub(crate) fn tally_sum(rows: &[TallyRow], cell: usize) -> u64 {
-    rows[1..].iter().fold(0u64, |acc, r| {
-        acc.wrapping_add(r.0[cell].load(Ordering::Acquire))
-    })
-}
+// ---------------------------------------------------------------------
+// The workload interpreter.
+// ---------------------------------------------------------------------
 
 /// Run-wide interpreter state, built before the workers start and
 /// read-only during the run.
@@ -692,12 +797,12 @@ pub(crate) struct Env<W> {
     /// `Work(c)` spins `c / divisor` cycles.
     pub(crate) divisor: u64,
     /// The run's tally rows (`workers + 1`).
-    pub(crate) tally: *const TallyRow,
+    pub(crate) tally: *const Row,
 }
 
 impl<W> Env<W> {
     /// The executing worker's tally row.
-    fn row<P: Placement>(&self) -> &TallyRow {
+    fn row<P: Placement>(&self) -> &Row {
         // SAFETY: [I7][I16] the tally has a row per worker and outlives
         // the run; a Copy read of the executing worker's id.
         unsafe { &*self.tally.add(1 + (*P::worker()).id) }
@@ -922,19 +1027,20 @@ pub struct NativeRunStats {
 
 impl NativeRunStats {
     /// The stats of an interpreter run, from its tally rows (see
-    /// [`TallyRow`]) and scheduler counters.
-    pub(crate) fn from_tally(workload: String, tally: &[TallyRow], sched: SchedStats) -> Self {
+    /// [`Row`]) and scheduler counters.
+    pub(crate) fn from_tally(workload: String, tally: &[Row], sched: SchedStats) -> Self {
+        let tally_sum = |cell| cell_sum(&tally[1..], cell);
         NativeRunStats {
             workload,
             workers: (tally.len() - 1) as u32,
-            total_tasks: tally_sum(tally, T_TASKS),
-            total_units: tally_sum(tally, T_UNITS),
-            total_work_cycles: tally_sum(tally, T_WORK_CYCLES),
-            joins: tally_sum(tally, T_JOINS),
-            spawns: tally_sum(tally, T_SPAWNS),
-            frame_bytes_total: tally_sum(tally, T_FRAME_BYTES),
-            peak_frame_bytes: tally[0].0[T_PEAK_FRAME].load(Ordering::Acquire),
-            join_fingerprint: tally_sum(tally, T_FINGERPRINT),
+            total_tasks: tally_sum(T_TASKS),
+            total_units: tally_sum(T_UNITS),
+            total_work_cycles: tally_sum(T_WORK_CYCLES),
+            joins: tally_sum(T_JOINS),
+            spawns: tally_sum(T_SPAWNS),
+            frame_bytes_total: tally_sum(T_FRAME_BYTES),
+            peak_frame_bytes: tally[0].get(T_PEAK_FRAME),
+            join_fingerprint: tally_sum(T_FINGERPRINT),
             steals: sched.steals,
             parks: sched.parks,
             unparks: sched.unparks,
@@ -988,19 +1094,67 @@ mod tests {
 
     /// Run `w` on both placements at `workers`, spinning `1/div` of its
     /// work (the multiprocess run is skipped, with the reason printed,
-    /// where the host cannot map its region).
-    fn on_both(w: &BinTree, workers: usize, div: u64) -> Vec<NativeRunStats> {
-        let mut out = vec![NativeRunner::new(workers)
-            .with_work_divisor(div)
-            .run(w.clone())];
+    /// where the host cannot map its region). Each run comes with its
+    /// workers' counter rows, worker-major.
+    fn on_both(w: &BinTree, workers: usize, div: u64) -> Vec<(NativeRunStats, Vec<u64>)> {
+        let runner = NativeRunner::new(workers).with_work_divisor(div);
+        let (stats, ran) = runner.run_on(&runner.rt, w.clone());
+        let mut out = vec![(stats, ran.counter_words())];
         if supported() {
-            out.push(
-                MultiProcessRunner::new(workers)
-                    .with_work_divisor(div)
-                    .run(w.clone()),
-            );
+            let r = MultiProcessRunner::new(workers)
+                .with_work_divisor(div)
+                .try_run(w.clone())
+                .expect("multiprocess run");
+            out.push((r.stats, r.metric_words));
         }
         out
+    }
+
+    /// Both placements count alike: the one scheduler bumps the same
+    /// cells at the same sites wherever the rows live.
+    #[test]
+    fn both_placements_count_alike() {
+        let w = BinTree {
+            depth: 7,
+            work: 2_000,
+            frame: 128,
+        };
+        for workers in [1usize, 2, 4] {
+            for (s, words) in on_both(&w, workers, 4) {
+                let cell = |wk: usize, c: usize| words[wk * ROW_CELLS + c];
+                let sum = |c| (0..workers).map(|wk| cell(wk, c)).sum::<u64>();
+                assert_eq!(sum(MC_TASKS), s.total_tasks, "workers={workers}");
+                assert_eq!(sum(MC_STEALS_COMPLETED), s.steals);
+                assert_eq!(sum(MC_PARKS), s.parks);
+                assert_eq!(sum(MC_UNPARKS), s.unparks);
+                assert!(s.unparks <= s.parks, "more unparks than parks: {s:?}");
+                for wk in 0..workers {
+                    assert!(cell(wk, MC_HEARTBEATS) > 0, "worker {wk} never heartbeat");
+                }
+            }
+        }
+    }
+
+    /// The counter indices must match the metrics segment's layout, by
+    /// which both backends' exports name each cell.
+    #[cfg(feature = "metrics")]
+    #[test]
+    fn counter_indices_match_segment_layout() {
+        use uat_metrics::{names, shm};
+        assert_eq!(ROW_CELLS, shm::ROW_STRIDE);
+        assert_eq!(std::mem::size_of::<Row>(), shm::SegmentLayout::row_bytes());
+        let expect = [
+            (MC_HEARTBEATS, names::HEARTBEATS),
+            (MC_STEALS_COMPLETED, names::STEALS_COMPLETED),
+            (MC_STEALS_FAILED, names::STEALS_FAILED),
+            (MC_PARKS, names::PARKS),
+            (MC_UNPARKS, names::UNPARKS),
+            (MC_TASKS, names::TASKS),
+        ];
+        assert_eq!(shm::SEGMENT_COUNTERS.len(), expect.len());
+        for (idx, name) in expect {
+            assert_eq!(shm::SEGMENT_COUNTERS[idx].0, name, "cell {idx}");
+        }
     }
 
     #[test]
@@ -1012,7 +1166,7 @@ mod tests {
         };
         let p = sequential_profile(&w);
         for workers in [1usize, 2, 4] {
-            for s in on_both(&w, workers, u64::MAX) {
+            for (s, _) in on_both(&w, workers, u64::MAX) {
                 assert_eq!(s.total_tasks, p.tasks, "workers={workers}");
                 assert_eq!(s.total_units, p.units);
                 assert_eq!(s.total_work_cycles, p.work_cycles);
@@ -1032,7 +1186,7 @@ mod tests {
             work: 10_000,
             frame: 64,
         };
-        for s in on_both(&w, 2, u64::MAX) {
+        for (s, _) in on_both(&w, 2, u64::MAX) {
             assert_eq!(s.total_work_cycles, 7 * 10_000);
         }
     }
@@ -1047,7 +1201,7 @@ mod tests {
             work: 0,
             frame: 16 << 10,
         };
-        for s in on_both(&w, 1, u64::MAX) {
+        for (s, _) in on_both(&w, 1, u64::MAX) {
             assert!(s.peak_frame_bytes >= 16 << 10);
             assert_eq!(s.total_tasks, 3);
         }
@@ -1066,7 +1220,7 @@ mod tests {
         };
         let mut stole = [0u64; 2];
         for _ in 0..3 {
-            for (i, s) in on_both(&w, 4, 1).into_iter().enumerate() {
+            for (i, (s, _)) in on_both(&w, 4, 1).into_iter().enumerate() {
                 assert_eq!(s.total_tasks, (1 << 11) - 1);
                 stole[i] += s.steals;
             }

@@ -1,51 +1,41 @@
-//! The paper's mechanism, for real, on this machine: steal a *started*
-//! native thread from another process.
+//! The paper's mechanism across address spaces: started threads stolen
+//! between worker *processes*.
 //!
-//! - two processes (fork) = two address spaces, each with the
-//!   uni-address region at the same fixed virtual address;
-//! - the victim starts a thread on its region, builds pointer-bearing
-//!   stack state, spawns a child, and its continuation becomes
-//!   stealable through a shared-memory task-queue slot;
-//! - this process locks the slot, copies the victim's live frames with
-//!   `process_vm_readv` (one-sided: the victim's code is not involved —
-//!   the RDMA READ of Figure 6), and `resume_context`s the thread at
-//!   its original addresses;
-//! - the thread keeps running here, dereferencing the intra-stack
-//!   pointer it created in the other process.
+//! `MultiProcessRunner` forks two workers over one shared region mapped
+//! at the same virtual address in both, so a thief resumes a stolen
+//! thread's frames at their original addresses, intra-stack pointers
+//! included. The run below is a UTS tree (one of the paper's
+//! workloads); its accounting must equal the sequential profile of the
+//! same tree, however the steals split it.
 //!
 //! Run: `cargo run --release --example cross_process_steal`
 
-use uni_address_threads::fiber::ipc;
+use uni_address_threads::fiber::MultiProcessRunner;
+use uni_address_threads::model::sequential_profile;
+use uni_address_threads::workloads::Uts;
 
 fn main() {
-    println!(
-        "uni-address region: {:#x} (+{} KiB), same VA in both processes",
-        ipc::UNI_BASE,
-        ipc::UNI_SIZE >> 10
-    );
-    match ipc::steal_between_processes() {
-        Ok(out) => {
-            println!(
-                "stole a running thread: transferred {} bytes of live frames \
-                 via process_vm_readv, resumed it here",
-                out.frames_bytes
-            );
-            println!(
-                "migrated thread computed {} from its pre-migration stack state \
-                 (expected {})",
-                out.result,
-                ipc::expected_result()
-            );
-            assert_eq!(out.result, ipc::expected_result());
-            println!(
-                "native timings: transfer {:?}, lock-to-resumed {:?}",
-                out.transfer, out.steal_to_resume
-            );
-            println!("intra-stack pointers survived the migration. QED.");
-        }
-        Err(e) => {
-            eprintln!("environment does not permit the demonstration: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = MultiProcessRunner::probe_support() {
+        eprintln!("this host cannot map the shared region: {e}");
+        std::process::exit(1);
     }
+    let w = Uts::geometric(9);
+    let report = MultiProcessRunner::new(2)
+        .try_run(w.clone())
+        .expect("multiprocess run");
+    let s = &report.stats;
+    println!("{}", s.summary_line_as("Multiprocess"));
+    println!(
+        "cross-process steals of started threads: {} (over {} tasks)",
+        s.steals, s.total_tasks
+    );
+    let p = sequential_profile(&w);
+    assert_eq!(
+        (s.total_tasks, s.total_units, s.joins, s.spawns),
+        (p.tasks, p.units, p.joins, p.spawns)
+    );
+    assert_eq!(s.total_work_cycles, p.work_cycles);
+    assert_eq!(s.frame_bytes_total, p.frame_bytes_total);
+    assert_eq!(s.join_fingerprint, p.join_fingerprint);
+    println!("accounting equals the sequential profile of the same tree");
 }
